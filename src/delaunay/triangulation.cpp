@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <stdexcept>
 
 #include "geom/bbox.hpp"
@@ -40,6 +39,12 @@ class Builder {
     pts_.push_back({c.x + 2.0 * m, c.y - m});
     pts_.push_back({c.x, c.y + 2.0 * m});
     tris_.push_back({{superBase_, superBase_ + 1, superBase_ + 2}, {-1, -1, -1}, true});
+    // An insert fans one triangle per cavity boundary edge (about 6 on
+    // average) and dead triangles stay in place, so reserve ~8 per point.
+    tris_.reserve(8 * n + 16);
+    badStamp_.reserve(tris_.capacity());
+    startOf_.assign(pts_.size(), {0, -1});
+    endOf_.assign(pts_.size(), {0, -1});
 
     for (int i = 0; i < static_cast<int>(n); ++i) insert(i);
     legalizeFinite();
@@ -102,57 +107,61 @@ class Builder {
   void insert(int pi) {
     const Vec2 p = pts_[static_cast<std::size_t>(pi)];
     const int containing = locate(lastAlive_, p);
+    // Each insert gets a fresh stamp, so the scratch arrays below never
+    // need clearing: an entry counts only when it carries this stamp.
+    const int stamp = pi + 1;
 
     // Grow the cavity of triangles whose circumcircle strictly contains p.
-    std::vector<int> bad;
-    std::vector<char> inBad(tris_.size(), 0);
-    std::vector<int> stack{containing};
-    inBad[static_cast<std::size_t>(containing)] = 1;
-    while (!stack.empty()) {
-      const int t = stack.back();
-      stack.pop_back();
-      bad.push_back(t);
+    bad_.clear();
+    stack_.assign(1, containing);
+    badStamp_.resize(tris_.size(), 0);
+    badStamp_[static_cast<std::size_t>(containing)] = stamp;
+    const auto inBad = [&](int t) { return badStamp_[static_cast<std::size_t>(t)] == stamp; };
+    while (!stack_.empty()) {
+      const int t = stack_.back();
+      stack_.pop_back();
+      bad_.push_back(t);
       for (int i = 0; i < 3; ++i) {
         const int nb = tris_[static_cast<std::size_t>(t)].adj[static_cast<std::size_t>(i)];
-        if (nb < 0 || inBad[static_cast<std::size_t>(nb)]) continue;
+        if (nb < 0 || inBad(nb)) continue;
         const WorkTri& wn = tris_[static_cast<std::size_t>(nb)];
         if (geom::inCircle(pts_[static_cast<std::size_t>(wn.v[0])],
                            pts_[static_cast<std::size_t>(wn.v[1])],
                            pts_[static_cast<std::size_t>(wn.v[2])], p) > 0) {
-          inBad[static_cast<std::size_t>(nb)] = 1;
-          stack.push_back(nb);
+          badStamp_[static_cast<std::size_t>(nb)] = stamp;
+          stack_.push_back(nb);
         }
       }
     }
 
     // Boundary of the cavity: directed edges (a, b) with the cavity on the
     // left, plus the outside triangle across each.
-    struct BEdge {
-      int a, b, outside;
-    };
-    std::vector<BEdge> boundary;
-    for (int t : bad) {
+    boundary_.clear();
+    for (int t : bad_) {
       const WorkTri& wt = tris_[static_cast<std::size_t>(t)];
       for (int i = 0; i < 3; ++i) {
         const int nb = wt.adj[static_cast<std::size_t>(i)];
-        if (nb >= 0 && inBad[static_cast<std::size_t>(nb)]) continue;
-        boundary.push_back({wt.v[static_cast<std::size_t>((i + 1) % 3)],
-                            wt.v[static_cast<std::size_t>((i + 2) % 3)], nb});
+        if (nb >= 0 && inBad(nb)) continue;
+        boundary_.push_back({wt.v[static_cast<std::size_t>((i + 1) % 3)],
+                             wt.v[static_cast<std::size_t>((i + 2) % 3)], nb});
       }
     }
-    for (int t : bad) tris_[static_cast<std::size_t>(t)].alive = false;
+    for (int t : bad_) tris_[static_cast<std::size_t>(t)].alive = false;
 
     // Fan new triangles (a, b, p) around p; they inherit outside adjacency
-    // across (a, b) and link to each other across the p-incident edges.
-    std::map<std::pair<int, int>, std::pair<int, int>> halfEdge;  // (u,v) -> (tri, slot)
-    std::vector<int> created;
-    for (const BEdge& e : boundary) {
+    // across (a, b) and link to each other across the p-incident edges:
+    // edge (b, p) of the triangle over (a, b) borders the fan triangle whose
+    // boundary edge starts at b, and edge (p, a) the one whose boundary edge
+    // ends at a. The cavity boundary is a simple cycle, so each vertex
+    // starts and ends one boundary edge; should a degenerate cavity repeat a
+    // vertex, only the last fan triangle to claim it is linked.
+    const int firstNew = static_cast<int>(tris_.size());
+    for (const BEdge& e : boundary_) {
       WorkTri nt;
       nt.v = {e.a, e.b, pi};
       nt.adj = {-1, -1, e.outside};  // edge 2 = (a, b)
       const int ti = static_cast<int>(tris_.size());
       tris_.push_back(nt);
-      created.push_back(ti);
       if (e.outside >= 0) {
         WorkTri& wo = tris_[static_cast<std::size_t>(e.outside)];
         for (int i = 0; i < 3; ++i) {
@@ -162,17 +171,19 @@ class Builder {
           }
         }
       }
-      halfEdge[{e.b, pi}] = {ti, 0};  // edge 0 = (b, p)
-      halfEdge[{pi, e.a}] = {ti, 1};  // edge 1 = (p, a)
+      startOf_[static_cast<std::size_t>(e.a)] = {stamp, ti};
+      endOf_[static_cast<std::size_t>(e.b)] = {stamp, ti};
     }
-    for (const auto& [edge, owner] : halfEdge) {
-      const auto twin = halfEdge.find({edge.second, edge.first});
-      if (twin != halfEdge.end()) {
-        tris_[static_cast<std::size_t>(owner.first)]
-            .adj[static_cast<std::size_t>(owner.second)] = twin->second.first;
-      }
+    for (int ti = firstNew; ti < static_cast<int>(tris_.size()); ++ti) {
+      WorkTri& nt = tris_[static_cast<std::size_t>(ti)];
+      const auto& startA = startOf_[static_cast<std::size_t>(nt.v[0])];
+      const auto& endA = endOf_[static_cast<std::size_t>(nt.v[0])];
+      const auto& startB = startOf_[static_cast<std::size_t>(nt.v[1])];
+      const auto& endB = endOf_[static_cast<std::size_t>(nt.v[1])];
+      if (endB[1] == ti && startB[0] == stamp) nt.adj[0] = startB[1];  // edge 0 = (b, p)
+      if (startA[1] == ti && endA[0] == stamp) nt.adj[1] = endA[1];    // edge 1 = (p, a)
     }
-    lastAlive_ = created.front();
+    lastAlive_ = firstNew;
   }
 
   // Lawson flips over finite-finite edges until locally Delaunay. This
@@ -252,11 +263,28 @@ class Builder {
     }
   }
 
- public:
+  // A cavity boundary edge (a, b), cavity on the left, and the outside
+  // triangle across it.
+  struct BEdge {
+    int a, b, outside;
+  };
+
   std::vector<Vec2> pts_;
   std::vector<WorkTri> tris_;
   int superBase_ = -1;
   int lastAlive_ = 0;
+
+  // Insert scratch, owned by the builder so inserts do not allocate once
+  // the vectors have grown. Stamped entries are valid only for the insert
+  // whose stamp they carry.
+  std::vector<int> badStamp_;  ///< Per triangle: stamp when in the cavity.
+  std::vector<int> bad_;
+  std::vector<int> stack_;
+  std::vector<BEdge> boundary_;
+  /// Per vertex: {stamp, fan triangle} whose boundary edge starts (startOf_)
+  /// or ends (endOf_) at the vertex.
+  std::vector<std::array<int, 2>> startOf_;
+  std::vector<std::array<int, 2>> endOf_;
 };
 
 }  // namespace

@@ -234,18 +234,22 @@ void HybridRouter::ringWalkToHullNode(std::vector<graph::NodeId>& path, int hole
   if (start < 0) return;
 
   // Walk both directions along the ring; stop at the nearest hull node.
+  // Outer-hole rings hold virtual convex-hull chords longer than the
+  // radius, so a direction ends at its first step that is no LDel edge
+  // (and then does not reach a hull node).
   const int n = static_cast<int>(ring.size());
   std::vector<graph::NodeId> fwd;
   std::vector<graph::NodeId> bwd;
-  for (int step = 1; step < n; ++step) {
-    const graph::NodeId f = ring[static_cast<std::size_t>((start + step) % n)];
-    fwd.push_back(f);
-    if (isHullNode_[static_cast<std::size_t>(f)] != 0) break;
-  }
-  for (int step = 1; step < n; ++step) {
-    const graph::NodeId b = ring[static_cast<std::size_t>((start - step % n + n) % n)];
-    bwd.push_back(b);
-    if (isHullNode_[static_cast<std::size_t>(b)] != 0) break;
+  for (const int dir : {1, -1}) {
+    std::vector<graph::NodeId>& walk = dir > 0 ? fwd : bwd;
+    graph::NodeId prev = cur;
+    for (int step = 1; step < n; ++step) {
+      const graph::NodeId v = ring[static_cast<std::size_t>(((start + dir * step) % n + n) % n)];
+      if (!g_.hasEdge(prev, v)) break;
+      walk.push_back(v);
+      prev = v;
+      if (isHullNode_[static_cast<std::size_t>(v)] != 0) break;
+    }
   }
   const bool fwdOk = !fwd.empty() && isHullNode_[static_cast<std::size_t>(fwd.back())] != 0;
   const bool bwdOk = !bwd.empty() && isHullNode_[static_cast<std::size_t>(bwd.back())] != 0;
@@ -509,12 +513,18 @@ bool HybridRouter::routeWithinBay(std::vector<graph::NodeId>& path, graph::NodeI
   }
 
   // The corridor walk stopped on the hole boundary; walk the ring to P1.
+  // The bay's ring stretch can hold virtual convex-hull chords of an outer
+  // hole, longer than the radius: the walk stops before the first step
+  // that is no LDel edge, and the waypoint loop below takes the rest of
+  // the leg to P1 (waypoints.front()) through chewOrFallback.
   const graph::NodeId x = path.back();
   const int xIdx = indexIn(full, x);
   if (xIdx >= 0) {
     const int stepDir = p1Idx >= xIdx ? 1 : -1;
     for (int i = xIdx + stepDir; i != p1Idx + stepDir; i += stepDir) {
-      path.push_back(full[static_cast<std::size_t>(i)]);
+      const graph::NodeId v = full[static_cast<std::size_t>(i)];
+      if (!g_.hasEdge(path.back(), v)) break;
+      path.push_back(v);
     }
   } else if (!chewOrFallback(path, waypoints.front(), fallbacks)) {
     return false;

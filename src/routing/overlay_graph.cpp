@@ -34,6 +34,7 @@ struct QueryMetrics {
   obs::Counter& direct;
   obs::Counter& visRun;
   obs::Counter& visPruned;
+  obs::Counter& visMiss;
   obs::Counter& wsReuse;
   obs::Counter& wsGrow;
   obs::Histogram& hubMerge;
@@ -45,6 +46,7 @@ struct QueryMetrics {
                           reg.counter("overlay.query.direct"),
                           reg.counter("overlay.vis_tests.run"),
                           reg.counter("overlay.vis_tests.pruned"),
+                          reg.counter("overlay.vis_tests.lookup_miss"),
                           reg.counter("overlay.workspace.reuse_hits"),
                           reg.counter("overlay.workspace.grows"),
                           reg.histogram("overlay.query.hub_merge_len",
@@ -215,19 +217,22 @@ void OverlayGraph::buildSiteEdges() {
     }
   } else {
     // Delaunay of the sites; keep only hole-free edges, plus the backbone.
+    // Both verdict lists stay sorted like dt.edges() for the query merge.
+    siteAdj_.assign(sitePos_.size(), {});
     if (sitePos_.size() >= 3) {
       const delaunay::DelaunayTriangulation dt(sitePos_);
-      siteAdj_.assign(sitePos_.size(), {});
-      for (const auto& [u, v] : dt.edges()) {
+      for (const auto& e : dt.edges()) {
+        const auto [u, v] = e;
         if (vis_.visible(sitePos_[static_cast<std::size_t>(u)],
                          sitePos_[static_cast<std::size_t>(v)])) {
           siteAdj_[static_cast<std::size_t>(u)].push_back(v);
           siteAdj_[static_cast<std::size_t>(v)].push_back(u);
+          siteEdgesVisible_.push_back(e);
           ++precomputedEdges_;
+        } else {
+          siteEdgesBlocked_.push_back(e);
         }
       }
-    } else {
-      siteAdj_.assign(sitePos_.size(), {});
     }
   }
 }
@@ -392,24 +397,43 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
       if (endpoint < ns) continue;  // endpoint is itself a site
       for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
         if (i == endpoint) continue;
+        ++q.visTests;
         if (vis_.visible(pts[static_cast<std::size_t>(endpoint)],
                          pts[static_cast<std::size_t>(i)])) {
           q.g.addEdge(endpoint, i);
         }
       }
     }
-    // When both endpoints are existing sites the site adjacency covers them.
-    if (q.fromIdx < ns && q.toIdx < ns) return q;
     return q;
   }
 
   // Delaunay mode: re-triangulate sites + endpoints and prune hole-crossing
-  // edges; keep the (hole-free) backbone.
+  // edges; keep the (hole-free) backbone. Inserting points never creates a
+  // Delaunay edge between two old points (empty-circle property), so each
+  // site-site edge here is a DT(sites) edge whose verdict buildSiteEdges()
+  // computed in the same u < v orientation; the verdict lists are sorted
+  // like dt.edges(), so one merge pass finds them. Only edges touching s or
+  // t are tested, plus any site pair the build did not see (degenerate or
+  // cocircular sites, whose tie-breaking depends on the whole point set).
   const delaunay::DelaunayTriangulation dt(pts);
-  for (const auto& [u, v] : dt.edges()) {
-    if (vis_.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-      q.g.addEdge(u, v);
+  auto visIt = siteEdgesVisible_.begin();
+  auto blockedIt = siteEdgesBlocked_.begin();
+  for (const auto& e : dt.edges()) {
+    const auto [u, v] = e;
+    bool visible = false;
+    bool known = false;
+    if (v < ns) {
+      while (visIt != siteEdgesVisible_.end() && *visIt < e) ++visIt;
+      while (blockedIt != siteEdgesBlocked_.end() && *blockedIt < e) ++blockedIt;
+      visible = visIt != siteEdgesVisible_.end() && *visIt == e;
+      known = visible || (blockedIt != siteEdgesBlocked_.end() && *blockedIt == e);
+      if (!known) ++q.lookupMisses;
     }
+    if (!known) {
+      ++q.visTests;
+      visible = vis_.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)]);
+    }
+    if (visible) q.g.addEdge(u, v);
   }
   // The backbone (consecutive abstraction nodes of one hole) is kept
   // unconditionally for hull/lch/ring sites: a chord between adjacent hull
@@ -419,9 +443,11 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
   // Douglas-Peucker backbones can genuinely cut through their hole, so
   // they are visibility-filtered.
   for (const auto& [u, v] : backboneEdges_) {
-    if (filterBackbone_ &&
-        !vis_.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-      continue;
+    if (filterBackbone_) {
+      ++q.visTests;
+      if (!vis_.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
+        continue;
+      }
     }
     q.g.addEdge(u, v);
   }
@@ -429,8 +455,13 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
 }
 
 void OverlayGraph::queryRebuild(geom::Vec2 from, geom::Vec2 to, OverlayRoute& out) const {
-  HYBRID_OBS_STMT(if (obs::enabled()) QueryMetrics::get().rebuild.add(1));
   const Query q = buildQueryGraph(from, to);
+  HYBRID_OBS_STMT(if (obs::enabled()) {
+    auto& m = QueryMetrics::get();
+    m.rebuild.add(1);
+    m.visRun.add(q.visTests);
+    m.visMiss.add(q.lookupMisses);
+  });
   const auto tree = graph::dijkstra(q.g, q.fromIdx, q.toIdx);
   out.distance = tree.dist[static_cast<std::size_t>(q.toIdx)];
   const auto path = tree.pathTo(q.toIdx);

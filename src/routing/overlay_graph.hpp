@@ -114,9 +114,15 @@ class alignas(64) OverlayQueryWorkspace {
 /// to their visible sites and minimizes d(s, i) + table[i][j] + d(j, t)
 /// over entry/exit-site pairs — no graph rebuild, no per-query Dijkstra,
 /// no allocation. Delaunay mode genuinely re-triangulates per query
-/// (inserting s and t changes the edge set), so it keeps the rebuild path;
-/// both modes answer waypoints and distance from one solve. All query
-/// methods are const and safe to call concurrently.
+/// (inserting s and t changes the edge set), so it keeps the rebuild path,
+/// but it reuses the build-time visibility verdicts: inserting points
+/// never creates a Delaunay edge between two old points, so each
+/// site-site edge of the query triangulation is a DT(sites) edge whose
+/// verdict the build stored. A query tests only the edges touching s or t
+/// (plus any site pair the build did not see, for degenerate inputs) and
+/// then runs one Dijkstra over the query graph. Both modes answer
+/// waypoints and distance from one solve. All query methods are const and
+/// safe to call concurrently.
 class OverlayGraph {
  public:
   OverlayGraph(const graph::GeometricGraph& ldel, const holes::HoleAnalysis& analysis,
@@ -202,6 +208,8 @@ class OverlayGraph {
     graph::GeometricGraph g;  ///< sites + possibly from/to appended
     int fromIdx = -1;
     int toIdx = -1;
+    std::uint64_t visTests = 0;      ///< Visibility tests evaluated.
+    std::uint64_t lookupMisses = 0;  ///< Site-site edges without a build verdict.
   };
   Query buildQueryGraph(geom::Vec2 from, geom::Vec2 to) const;
   void buildSiteEdges();
@@ -220,6 +228,10 @@ class OverlayGraph {
   /// Site-to-site adjacency (visibility mode precomputes it; Delaunay mode
   /// re-triangulates per query because inserting s and t changes edges).
   std::vector<std::vector<int>> siteAdj_;
+  /// Delaunay mode: the DT(sites) edges (u < v, sorted) split by their
+  /// build-time visibility verdict, reused by every query triangulation.
+  std::vector<std::pair<int, int>> siteEdgesVisible_;
+  std::vector<std::pair<int, int>> siteEdgesBlocked_;
   /// Ring/hull consecutive edges that are always present.
   std::vector<std::pair<int, int>> backboneEdges_;
   /// Douglas-Peucker backbones may cut through their own hole (the

@@ -7,7 +7,9 @@
 
 #include "core/hybrid_network.hpp"
 #include "delaunay/triangulation.hpp"
+#include "geom/bbox.hpp"
 #include "graph/shortest_path.hpp"
+#include "obs/metrics.hpp"
 #include "routing/overlay_graph.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/shapes.hpp"
@@ -28,6 +30,7 @@ struct LegacyAnswer {
   bool reachable = false;
   double distance = std::numeric_limits<double>::infinity();
   std::vector<graph::NodeId> waypoints;
+  std::uint64_t visTests = 0;  ///< visible() calls the replica made.
 };
 
 LegacyAnswer legacyQuery(const OverlayGraph& overlay, geom::Vec2 from, geom::Vec2 to) {
@@ -50,6 +53,7 @@ LegacyAnswer legacyQuery(const OverlayGraph& overlay, geom::Vec2 from, geom::Vec
   if (toSite < 0 && !(from == to)) pts.push_back(to);
   if (toSite < 0 && from == to) toIdx = fromIdx;
 
+  LegacyAnswer ans;
   graph::GeometricGraph g(pts);
   if (overlay.edgeMode() == EdgeMode::Visibility || pts.size() < 3) {
     for (int i = 0; i < ns; ++i) {
@@ -61,6 +65,7 @@ LegacyAnswer legacyQuery(const OverlayGraph& overlay, geom::Vec2 from, geom::Vec
       if (endpoint < ns) continue;
       for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
         if (i == endpoint) continue;
+        ++ans.visTests;
         if (vis.visible(pts[static_cast<std::size_t>(endpoint)],
                         pts[static_cast<std::size_t>(i)])) {
           g.addEdge(endpoint, i);
@@ -70,6 +75,7 @@ LegacyAnswer legacyQuery(const OverlayGraph& overlay, geom::Vec2 from, geom::Vec
   } else {
     const delaunay::DelaunayTriangulation dt(pts);
     for (const auto& [u, v] : dt.edges()) {
+      ++ans.visTests;
       if (vis.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
         g.addEdge(u, v);
       }
@@ -83,7 +89,6 @@ LegacyAnswer legacyQuery(const OverlayGraph& overlay, geom::Vec2 from, geom::Vec
     }
   }
 
-  LegacyAnswer ans;
   const auto tree = graph::dijkstra(g, fromIdx, toIdx);
   ans.distance = tree.dist[static_cast<std::size_t>(toIdx)];
   const auto path = tree.pathTo(toIdx);
@@ -131,8 +136,17 @@ std::vector<ParityCase> parityCases() {
 }
 
 /// 5 networks x 2 edge modes x 2 site modes x 12 query pairs = 240 seeded
-/// scenarios: new engine vs the legacy rebuild-per-query replica.
+/// scenarios: new engine vs the legacy rebuild-per-query replica. The
+/// Delaunay engine reuses the build-time verdicts of the site-site edges
+/// and computes the rest exactly as the replica does, so its answers must
+/// be bit-identical; the replica still tests every edge, so it stays an
+/// independent reference.
 TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
+  const bool obsWas = obs::enabled();
+  obs::setEnabled(true);
+  auto& visRun = obs::Registry::global().counter("overlay.vis_tests.run");
+  std::uint64_t delaunayVisTests = 0;
+  std::uint64_t legacyDelaunayVisTests = 0;
   int checked = 0;
   for (const auto& pc : parityCases()) {
     scenario::ScenarioParams p;
@@ -163,11 +177,20 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
           if (q % 12 == 3) b = a;
 
           const auto legacy = legacyQuery(overlay, a, b);
+          const auto runBefore = visRun.value();
           const auto fresh = overlay.waypointsWithDistance(a, b);
 
           ++checked;
           ASSERT_EQ(fresh.reachable, legacy.reachable)
               << "seed=" << pc.seed << " q=" << q;
+          if (em == EdgeMode::Delaunay) {
+            if (!(a == b)) {
+              delaunayVisTests += visRun.value() - runBefore;
+              legacyDelaunayVisTests += legacy.visTests;
+            }
+            EXPECT_EQ(fresh.distance, legacy.distance) << "seed=" << pc.seed << " q=" << q;
+            EXPECT_EQ(fresh.waypoints, legacy.waypoints) << "seed=" << pc.seed << " q=" << q;
+          }
           if (!fresh.reachable) continue;
           EXPECT_NEAR(fresh.distance, legacy.distance, kEps)
               << "seed=" << pc.seed << " q=" << q;
@@ -190,6 +213,11 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
     }
   }
   EXPECT_GE(checked, 200);
+  // Only the edges touching an endpoint are tested per query (about 18x
+  // fewer than the replica's every-edge tests on these networks).
+  EXPECT_GT(delaunayVisTests, 0u);
+  EXPECT_LT(delaunayVisTests * 4, legacyDelaunayVisTests);
+  obs::setEnabled(obsWas);
 }
 
 /// The hub-label backend against the dense table: every precomputed site
@@ -371,6 +399,10 @@ TEST(OverlayParity, GrazingSegmentsMatchRebuild) {
         const auto fresh = overlay.waypointsWithDistance(from, to);
         ASSERT_EQ(fresh.reachable, ref.reachable)
             << "mode=" << static_cast<int>(em) << " q=" << q;
+        if (em == EdgeMode::Delaunay) {
+          EXPECT_EQ(fresh.distance, ref.distance) << "q=" << q;
+          EXPECT_EQ(fresh.waypoints, ref.waypoints) << "q=" << q;
+        }
         if (!fresh.reachable) continue;
         EXPECT_NEAR(fresh.distance, ref.distance, 1e-9)
             << "mode=" << static_cast<int>(em) << " q=" << q;
@@ -388,6 +420,56 @@ TEST(OverlayParity, GrazingSegmentsMatchRebuild) {
       }
     }
   }
+}
+
+/// Degenerate site sets: exactly cocircular rings and collinear rows with
+/// 0 / 1e-9 / 1e-6 jitter. Their Delaunay tie-breaking depends on the whole
+/// point set, so inserting the endpoints can produce site-site edges the
+/// build-time triangulation never had; those lookup misses are tested at
+/// query time. The answers must still be bit-identical to the testkit's
+/// rebuild, which tests every edge, and the miss branch must have run.
+TEST(OverlayParity, DegenerateSitesDelaunayMatchesRebuild) {
+  const bool obsWas = obs::enabled();
+  obs::setEnabled(true);
+  auto& misses = obs::Registry::global().counter("overlay.vis_tests.lookup_miss");
+  const auto missesBefore = misses.value();
+  int checked = 0;
+  for (const char* name : {"cocircular", "collinear"}) {
+    const auto* gen = testkit::findGenerator(name);
+    ASSERT_NE(gen, nullptr) << name;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const auto sc = gen->make(seed);
+      const core::HybridNetwork net(sc.points, sc.radius);
+      for (const SiteMode sm : {SiteMode::HullNodes, SiteMode::AllHoleNodes}) {
+        const auto router = net.makeRouter({sm, EdgeMode::Delaunay, true});
+        const OverlayGraph& overlay = router->overlay();
+        if (overlay.sites().empty()) continue;
+        const auto& ldel = net.ldel();
+        const auto bbox = geom::BBox::of(ldel.positions());
+        std::mt19937_64 rng(testkit::deriveSeed(seed, 0x64656765));
+        std::uniform_real_distribution<double> dx(bbox.lo.x, bbox.hi.x);
+        std::uniform_real_distribution<double> dy(bbox.lo.y, bbox.hi.y);
+        std::uniform_int_distribution<int> pickNode(0, static_cast<int>(ldel.numNodes()) - 1);
+        for (int q = 0; q < 12; ++q) {
+          geom::Vec2 a{dx(rng), dy(rng)};
+          geom::Vec2 b{dx(rng), dy(rng)};
+          if (q % 2 == 1) {  // node-coincident endpoints, sites included
+            a = ldel.position(pickNode(rng));
+            b = ldel.position(pickNode(rng));
+          }
+          const auto ref = testkit::referenceOverlayQuery(overlay, a, b);
+          const auto fresh = overlay.waypointsWithDistance(a, b);
+          ++checked;
+          ASSERT_EQ(fresh.reachable, ref.reachable) << name << " seed=" << seed << " q=" << q;
+          EXPECT_EQ(fresh.distance, ref.distance) << name << " seed=" << seed << " q=" << q;
+          EXPECT_EQ(fresh.waypoints, ref.waypoints) << name << " seed=" << seed << " q=" << q;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 200);
+  EXPECT_GT(misses.value(), missesBefore);
+  obs::setEnabled(obsWas);
 }
 
 /// The same failure class hunted statistically: the hull_tangent generator

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "core/hybrid_network.hpp"
+#include "io/serialize.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/shapes.hpp"
 
@@ -95,6 +96,35 @@ TEST_F(CaseFixture, AllFiveCasesAreReachable) {
   for (const auto& r : {router.route(outsideA, outsideB), router.route(bay1, outsideA),
                         router.route(bay1, bay2), router.route(bay1, bay1b)}) {
     EXPECT_TRUE(r.delivered);
+  }
+}
+
+/// Regression: after churn, an outer hole's ring holds a virtual convex-hull
+/// edge (826 -> 585, 3.68 radii) that the bay machinery used to copy into
+/// the route while walking the ring to the bay's first anchor. The point
+/// set is the 700-node perfbench deployment with seed 3 after 145 churn
+/// batches (tests/scenarios/churn_seed3_epoch145.txt). Every hop of a
+/// delivered route must be an LDel edge.
+TEST(BayRingWalk, ChurnedOuterRingRoutesOnlyLdelEdges) {
+  const auto sc = io::loadScenario(std::string(HYBRID_SCENARIO_DIR) + "/churn_seed3_epoch145.txt");
+  ASSERT_TRUE(sc.has_value());
+  const core::HybridNetwork net(sc->points, sc->radius);
+  const auto& g = net.ldel();
+  const auto expectWalk = [&](const routing::RouteResult& r, int s, int t) {
+    ASSERT_TRUE(r.delivered) << s << " -> " << t;
+    for (std::size_t i = 1; i < r.path.size(); ++i) {
+      ASSERT_TRUE(g.hasEdge(r.path[i - 1], r.path[i]))
+          << s << " -> " << t << " hop " << r.path[i - 1] << " -> " << r.path[i];
+    }
+  };
+  const auto reported = net.router().route(538, 591);
+  EXPECT_EQ(reported.protocolCase, 2);
+  expectWalk(reported, 538, 591);
+  // The bay chain 591 737 585 as target, from every third node.
+  for (const int t : {591, 737, 585}) {
+    for (int s = 0; s < static_cast<int>(g.numNodes()); s += 3) {
+      expectWalk(net.router().route(s, t), s, t);
+    }
   }
 }
 
