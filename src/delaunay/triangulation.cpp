@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "geom/bbox.hpp"
 #include "geom/predicates.hpp"
 
 namespace hybrid::delaunay {
@@ -12,71 +11,192 @@ namespace hybrid::delaunay {
 namespace {
 
 using geom::Vec2;
+using State = detail::BuildState;
+using WorkTri = State::WorkTri;
+using BEdge = State::BEdge;
 
-// Working triangle with liveness flag; vertex order is ccw, adj[i] faces
-// the edge opposite vertex i.
-struct WorkTri {
-  std::array<int, 3> v;
-  std::array<int, 3> adj;
-  bool alive = true;
-};
-
+/// The Bowyer–Watson builder over a BuildState it does not own.
 class Builder {
  public:
-  explicit Builder(const std::vector<Vec2>& input) : pts_(input) {
-    const std::size_t n = input.size();
-    if (n < 3) return;
+  explicit Builder(State& s) : s_(s) {}
 
+  /// Resets the state to the super-triangle of `box`, whose corners are
+  /// appended to the input points already in s_.pts. Scratch vectors keep
+  /// their capacity; stale entries are cleared.
+  void start(const geom::BBox& box) {
     // Super-triangle far outside the data range. Exact predicates keep the
     // construction consistent; a final legalization pass (below) restores
     // the Delaunay property among finite triangles near the boundary.
-    geom::BBox box = geom::BBox::of(pts_);
+    const std::size_t n = s_.pts.size();
     const double span = std::max({box.width(), box.height(), 1.0});
     const Vec2 c = box.center();
     const double m = span * 1e4;
-    superBase_ = static_cast<int>(n);
-    pts_.push_back({c.x - 2.0 * m, c.y - m});
-    pts_.push_back({c.x + 2.0 * m, c.y - m});
-    pts_.push_back({c.x, c.y + 2.0 * m});
-    tris_.push_back({{superBase_, superBase_ + 1, superBase_ + 2}, {-1, -1, -1}, true});
+    s_.superBase = static_cast<int>(n);
+    s_.pts.push_back({c.x - 2.0 * m, c.y - m});
+    s_.pts.push_back({c.x + 2.0 * m, c.y - m});
+    s_.pts.push_back({c.x, c.y + 2.0 * m});
+    s_.tris.clear();
+    s_.tris.push_back({{s_.superBase, s_.superBase + 1, s_.superBase + 2}, {-1, -1, -1}, true});
+    s_.lastAlive = 0;
     // An insert fans one triangle per cavity boundary edge (about 6 on
     // average) and dead triangles stay in place, so reserve ~8 per point.
-    tris_.reserve(8 * n + 16);
-    badStamp_.reserve(tris_.capacity());
-    startOf_.assign(pts_.size(), {0, -1});
-    endOf_.assign(pts_.size(), {0, -1});
-
-    for (int i = 0; i < static_cast<int>(n); ++i) insert(i);
-    legalizeFinite();
+    s_.tris.reserve(8 * n + 16);
+    s_.badStamp.clear();
+    s_.badStamp.reserve(s_.tris.capacity());
+    s_.startOf.assign(s_.pts.size(), {0, -1});
+    s_.endOf.assign(s_.pts.size(), {0, -1});
   }
 
-  std::vector<Triangle> finish() {
-    // Drop dead triangles and those touching the super-triangle; remap adj.
-    std::vector<int> remap(tris_.size(), -1);
-    std::vector<Triangle> out;
-    for (std::size_t t = 0; t < tris_.size(); ++t) {
-      const WorkTri& wt = tris_[t];
+  /// Appends a point after the super-triangle corners (resume) and
+  /// returns its index.
+  int addPoint(Vec2 p) {
+    s_.pts.push_back(p);
+    s_.startOf.push_back({0, -1});
+    s_.endOf.push_back({0, -1});
+    return static_cast<int>(s_.pts.size()) - 1;
+  }
+
+  void insert(int pi) {
+    const Vec2 p = s_.pts[static_cast<std::size_t>(pi)];
+    const int containing = locate(s_.lastAlive, p);
+    // Each insert gets a fresh stamp, so the scratch arrays below never
+    // need clearing: an entry counts only when it carries this stamp.
+    const int stamp = pi + 1;
+
+    // Grow the cavity of triangles whose circumcircle strictly contains p.
+    s_.bad.clear();
+    s_.stack.assign(1, containing);
+    s_.badStamp.resize(s_.tris.size(), 0);
+    s_.badStamp[static_cast<std::size_t>(containing)] = stamp;
+    const auto inBad = [&](int t) { return s_.badStamp[static_cast<std::size_t>(t)] == stamp; };
+    while (!s_.stack.empty()) {
+      const int t = s_.stack.back();
+      s_.stack.pop_back();
+      s_.bad.push_back(t);
+      for (int i = 0; i < 3; ++i) {
+        const int nb = s_.tris[static_cast<std::size_t>(t)].adj[static_cast<std::size_t>(i)];
+        if (nb < 0 || inBad(nb)) continue;
+        const WorkTri& wn = s_.tris[static_cast<std::size_t>(nb)];
+        if (geom::inCircle(s_.pts[static_cast<std::size_t>(wn.v[0])],
+                           s_.pts[static_cast<std::size_t>(wn.v[1])],
+                           s_.pts[static_cast<std::size_t>(wn.v[2])], p) > 0) {
+          s_.badStamp[static_cast<std::size_t>(nb)] = stamp;
+          s_.stack.push_back(nb);
+        }
+      }
+    }
+
+    // Boundary of the cavity: directed edges (a, b) with the cavity on the
+    // left, plus the outside triangle across each.
+    s_.boundary.clear();
+    for (int t : s_.bad) {
+      const WorkTri& wt = s_.tris[static_cast<std::size_t>(t)];
+      for (int i = 0; i < 3; ++i) {
+        const int nb = wt.adj[static_cast<std::size_t>(i)];
+        if (nb >= 0 && inBad(nb)) continue;
+        s_.boundary.push_back({wt.v[static_cast<std::size_t>((i + 1) % 3)],
+                               wt.v[static_cast<std::size_t>((i + 2) % 3)], nb});
+      }
+    }
+    for (int t : s_.bad) {
+      WorkTri& wt = s_.tris[static_cast<std::size_t>(t)];
+      wt.alive = false;
+      wt.edited = true;
+    }
+
+    // Fan new triangles (a, b, p) around p; they inherit outside adjacency
+    // across (a, b) and link to each other across the p-incident edges:
+    // edge (b, p) of the triangle over (a, b) borders the fan triangle whose
+    // boundary edge starts at b, and edge (p, a) the one whose boundary edge
+    // ends at a. The cavity boundary is a simple cycle, so each vertex
+    // starts and ends one boundary edge; should a degenerate cavity repeat a
+    // vertex, only the last fan triangle to claim it is linked.
+    const int firstNew = static_cast<int>(s_.tris.size());
+    for (const BEdge& e : s_.boundary) {
+      WorkTri nt;
+      nt.v = {e.a, e.b, pi};
+      nt.adj = {-1, -1, e.outside};  // edge 2 = (a, b)
+      const int ti = static_cast<int>(s_.tris.size());
+      s_.tris.push_back(nt);
+      if (e.outside >= 0) {
+        WorkTri& wo = s_.tris[static_cast<std::size_t>(e.outside)];
+        for (int i = 0; i < 3; ++i) {
+          if (wo.v[static_cast<std::size_t>((i + 1) % 3)] == e.b &&
+              wo.v[static_cast<std::size_t>((i + 2) % 3)] == e.a) {
+            wo.adj[static_cast<std::size_t>(i)] = ti;
+            wo.edited = true;
+          }
+        }
+      }
+      s_.startOf[static_cast<std::size_t>(e.a)] = {stamp, ti};
+      s_.endOf[static_cast<std::size_t>(e.b)] = {stamp, ti};
+    }
+    for (int ti = firstNew; ti < static_cast<int>(s_.tris.size()); ++ti) {
+      WorkTri& nt = s_.tris[static_cast<std::size_t>(ti)];
+      const auto& startA = s_.startOf[static_cast<std::size_t>(nt.v[0])];
+      const auto& endA = s_.endOf[static_cast<std::size_t>(nt.v[0])];
+      const auto& startB = s_.startOf[static_cast<std::size_t>(nt.v[1])];
+      const auto& endB = s_.endOf[static_cast<std::size_t>(nt.v[1])];
+      if (endB[1] == ti && startB[0] == stamp) nt.adj[0] = startB[1];  // edge 0 = (b, p)
+      if (startA[1] == ti && endA[0] == stamp) nt.adj[1] = endA[1];    // edge 1 = (p, a)
+    }
+    s_.lastAlive = firstNew;
+  }
+
+  // Lawson flips over finite-finite edges until locally Delaunay. This
+  // repairs any boundary slivers introduced by the finite super-triangle.
+  // `reuse` (read) and `record` (write) are per (triangle, edge) verdict
+  // arrays over a snapshot's triangles (see DelaunayPrefix); either may be
+  // null.
+  void legalizeFinite(const signed char* reuse, signed char* record) {
+    bool changed = true;
+    int guard = 0;
+    while (changed && guard++ < 64) {
+      changed = false;
+      for (std::size_t t = 0; t < s_.tris.size(); ++t) {
+        if (!s_.tris[t].alive) continue;
+        for (int i = 0; i < 3; ++i) {
+          if (tryFlip(static_cast<int>(t), i, reuse, record)) {
+            changed = true;
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  /// Writes the finite triangles into `out`: drops dead triangles and
+  /// those touching the super-triangle, remaps adj, and relabels points
+  /// inserted after the super corners down by 3.
+  void finish(std::vector<Triangle>& out, std::vector<int>& remap) const {
+    remap.assign(s_.tris.size(), -1);
+    out.clear();
+    const int lastSuper = s_.superBase + 2;
+    for (std::size_t t = 0; t < s_.tris.size(); ++t) {
+      const WorkTri& wt = s_.tris[t];
       if (!wt.alive || touchesSuper(wt)) continue;
       remap[t] = static_cast<int>(out.size());
       Triangle tri;
-      tri.v = wt.v;
+      for (int i = 0; i < 3; ++i) {
+        const int v = wt.v[static_cast<std::size_t>(i)];
+        tri.v[static_cast<std::size_t>(i)] = v > lastSuper ? v - 3 : v;
+      }
       out.push_back(tri);
     }
-    for (std::size_t t = 0; t < tris_.size(); ++t) {
+    for (std::size_t t = 0; t < s_.tris.size(); ++t) {
       if (remap[t] < 0) continue;
       for (int i = 0; i < 3; ++i) {
-        const int a = tris_[t].adj[static_cast<std::size_t>(i)];
+        const int a = s_.tris[t].adj[static_cast<std::size_t>(i)];
         out[static_cast<std::size_t>(remap[t])].adj[static_cast<std::size_t>(i)] =
             (a >= 0 && remap[static_cast<std::size_t>(a)] >= 0)
                 ? remap[static_cast<std::size_t>(a)]
                 : -1;
       }
     }
-    return out;
   }
 
  private:
-  bool isSuper(int v) const { return superBase_ >= 0 && v >= superBase_; }
+  bool isSuper(int v) const { return v >= s_.superBase && v < s_.superBase + 3; }
   bool touchesSuper(const WorkTri& t) const {
     return isSuper(t.v[0]) || isSuper(t.v[1]) || isSuper(t.v[2]);
   }
@@ -84,12 +204,14 @@ class Builder {
   // Walk from `start` to a triangle containing p (possibly on its boundary).
   int locate(int start, Vec2 p) const {
     int t = start;
-    for (std::size_t guard = 0; guard < 4 * tris_.size() + 16; ++guard) {
-      const WorkTri& wt = tris_[static_cast<std::size_t>(t)];
+    for (std::size_t guard = 0; guard < 4 * s_.tris.size() + 16; ++guard) {
+      const WorkTri& wt = s_.tris[static_cast<std::size_t>(t)];
       bool moved = false;
       for (int i = 0; i < 3; ++i) {
-        const Vec2 a = pts_[static_cast<std::size_t>(wt.v[static_cast<std::size_t>((i + 1) % 3)])];
-        const Vec2 b = pts_[static_cast<std::size_t>(wt.v[static_cast<std::size_t>((i + 2) % 3)])];
+        const Vec2 a =
+            s_.pts[static_cast<std::size_t>(wt.v[static_cast<std::size_t>((i + 1) % 3)])];
+        const Vec2 b =
+            s_.pts[static_cast<std::size_t>(wt.v[static_cast<std::size_t>((i + 2) % 3)])];
         if (geom::orient(a, b, p) < 0) {
           const int next = wt.adj[static_cast<std::size_t>(i)];
           if (next >= 0) {
@@ -104,114 +226,16 @@ class Builder {
     throw std::runtime_error("Delaunay locate failed to converge (duplicate points?)");
   }
 
-  void insert(int pi) {
-    const Vec2 p = pts_[static_cast<std::size_t>(pi)];
-    const int containing = locate(lastAlive_, p);
-    // Each insert gets a fresh stamp, so the scratch arrays below never
-    // need clearing: an entry counts only when it carries this stamp.
-    const int stamp = pi + 1;
-
-    // Grow the cavity of triangles whose circumcircle strictly contains p.
-    bad_.clear();
-    stack_.assign(1, containing);
-    badStamp_.resize(tris_.size(), 0);
-    badStamp_[static_cast<std::size_t>(containing)] = stamp;
-    const auto inBad = [&](int t) { return badStamp_[static_cast<std::size_t>(t)] == stamp; };
-    while (!stack_.empty()) {
-      const int t = stack_.back();
-      stack_.pop_back();
-      bad_.push_back(t);
-      for (int i = 0; i < 3; ++i) {
-        const int nb = tris_[static_cast<std::size_t>(t)].adj[static_cast<std::size_t>(i)];
-        if (nb < 0 || inBad(nb)) continue;
-        const WorkTri& wn = tris_[static_cast<std::size_t>(nb)];
-        if (geom::inCircle(pts_[static_cast<std::size_t>(wn.v[0])],
-                           pts_[static_cast<std::size_t>(wn.v[1])],
-                           pts_[static_cast<std::size_t>(wn.v[2])], p) > 0) {
-          badStamp_[static_cast<std::size_t>(nb)] = stamp;
-          stack_.push_back(nb);
-        }
-      }
-    }
-
-    // Boundary of the cavity: directed edges (a, b) with the cavity on the
-    // left, plus the outside triangle across each.
-    boundary_.clear();
-    for (int t : bad_) {
-      const WorkTri& wt = tris_[static_cast<std::size_t>(t)];
-      for (int i = 0; i < 3; ++i) {
-        const int nb = wt.adj[static_cast<std::size_t>(i)];
-        if (nb >= 0 && inBad(nb)) continue;
-        boundary_.push_back({wt.v[static_cast<std::size_t>((i + 1) % 3)],
-                             wt.v[static_cast<std::size_t>((i + 2) % 3)], nb});
-      }
-    }
-    for (int t : bad_) tris_[static_cast<std::size_t>(t)].alive = false;
-
-    // Fan new triangles (a, b, p) around p; they inherit outside adjacency
-    // across (a, b) and link to each other across the p-incident edges:
-    // edge (b, p) of the triangle over (a, b) borders the fan triangle whose
-    // boundary edge starts at b, and edge (p, a) the one whose boundary edge
-    // ends at a. The cavity boundary is a simple cycle, so each vertex
-    // starts and ends one boundary edge; should a degenerate cavity repeat a
-    // vertex, only the last fan triangle to claim it is linked.
-    const int firstNew = static_cast<int>(tris_.size());
-    for (const BEdge& e : boundary_) {
-      WorkTri nt;
-      nt.v = {e.a, e.b, pi};
-      nt.adj = {-1, -1, e.outside};  // edge 2 = (a, b)
-      const int ti = static_cast<int>(tris_.size());
-      tris_.push_back(nt);
-      if (e.outside >= 0) {
-        WorkTri& wo = tris_[static_cast<std::size_t>(e.outside)];
-        for (int i = 0; i < 3; ++i) {
-          if (wo.v[static_cast<std::size_t>((i + 1) % 3)] == e.b &&
-              wo.v[static_cast<std::size_t>((i + 2) % 3)] == e.a) {
-            wo.adj[static_cast<std::size_t>(i)] = ti;
-          }
-        }
-      }
-      startOf_[static_cast<std::size_t>(e.a)] = {stamp, ti};
-      endOf_[static_cast<std::size_t>(e.b)] = {stamp, ti};
-    }
-    for (int ti = firstNew; ti < static_cast<int>(tris_.size()); ++ti) {
-      WorkTri& nt = tris_[static_cast<std::size_t>(ti)];
-      const auto& startA = startOf_[static_cast<std::size_t>(nt.v[0])];
-      const auto& endA = endOf_[static_cast<std::size_t>(nt.v[0])];
-      const auto& startB = startOf_[static_cast<std::size_t>(nt.v[1])];
-      const auto& endB = endOf_[static_cast<std::size_t>(nt.v[1])];
-      if (endB[1] == ti && startB[0] == stamp) nt.adj[0] = startB[1];  // edge 0 = (b, p)
-      if (startA[1] == ti && endA[0] == stamp) nt.adj[1] = endA[1];    // edge 1 = (p, a)
-    }
-    lastAlive_ = firstNew;
-  }
-
-  // Lawson flips over finite-finite edges until locally Delaunay. This
-  // repairs any boundary slivers introduced by the finite super-triangle.
-  void legalizeFinite() {
-    bool changed = true;
-    int guard = 0;
-    while (changed && guard++ < 64) {
-      changed = false;
-      for (std::size_t t = 0; t < tris_.size(); ++t) {
-        if (!tris_[t].alive) continue;
-        for (int i = 0; i < 3; ++i) {
-          if (tryFlip(static_cast<int>(t), i)) {
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-  }
-
   // Flips edge i of triangle t if the opposite vertex of the neighbor lies
-  // strictly inside t's circumcircle (finite vertices only).
-  bool tryFlip(int t, int i) {
-    WorkTri& wt = tris_[static_cast<std::size_t>(t)];
+  // strictly inside t's circumcircle (finite vertices only). The verdict
+  // depends only on t and its neighbor, so while both are unedited it is
+  // the snapshot's verdict: read from `reuse` when known, else written to
+  // `record`.
+  bool tryFlip(int t, int i, const signed char* reuse, signed char* record) {
+    WorkTri& wt = s_.tris[static_cast<std::size_t>(t)];
     const int nb = wt.adj[static_cast<std::size_t>(i)];
     if (nb < 0) return false;
-    WorkTri& wn = tris_[static_cast<std::size_t>(nb)];
+    WorkTri& wn = s_.tris[static_cast<std::size_t>(nb)];
     if (touchesSuper(wt) || touchesSuper(wn)) return false;
 
     const int a = wt.v[static_cast<std::size_t>(i)];
@@ -225,11 +249,19 @@ class Builder {
       }
     }
     if (d < 0) return false;
-    if (geom::inCircle(pts_[static_cast<std::size_t>(a)], pts_[static_cast<std::size_t>(b)],
-                       pts_[static_cast<std::size_t>(c)],
-                       pts_[static_cast<std::size_t>(d)]) <= 0) {
-      return false;
+    const bool pristine = !wt.edited && !wn.edited;
+    const std::size_t slot = 3 * static_cast<std::size_t>(t) + static_cast<std::size_t>(i);
+    bool flip;
+    if (pristine && reuse != nullptr && reuse[slot] >= 0) {
+      flip = reuse[slot] > 0;
+    } else {
+      flip = geom::inCircle(s_.pts[static_cast<std::size_t>(a)],
+                            s_.pts[static_cast<std::size_t>(b)],
+                            s_.pts[static_cast<std::size_t>(c)],
+                            s_.pts[static_cast<std::size_t>(d)]) > 0;
+      if (pristine && record != nullptr) record[slot] = flip ? 1 : 0;
     }
+    if (!flip) return false;
     // Replace triangles (a,b,c)+(d,c,b) with (a,b,d)+(a,d,c).
     const int tBC = nb;
     const int nAB = wt.adj[static_cast<std::size_t>((i + 2) % 3)];
@@ -250,65 +282,92 @@ class Builder {
     wt.adj = {nbDB, tBC, nAB};
     // wn edges: 0:(d,c) -> nbCD, 1:(c,a) -> nCA, 2:(a,d) -> t
     wn.adj = {nbCD, nCA, t};
+    wt.edited = true;
+    wn.edited = true;
     fixBackPointer(nbDB, tBC, t);
     fixBackPointer(nCA, t, tBC);
-    lastAlive_ = t;
+    s_.lastAlive = t;
     return true;
   }
 
   void fixBackPointer(int tri, int oldNb, int newNb) {
     if (tri < 0) return;
-    for (auto& a : tris_[static_cast<std::size_t>(tri)].adj) {
+    WorkTri& wt = s_.tris[static_cast<std::size_t>(tri)];
+    wt.edited = true;
+    for (auto& a : wt.adj) {
       if (a == oldNb) a = newNb;
     }
   }
 
-  // A cavity boundary edge (a, b), cavity on the left, and the outside
-  // triangle across it.
-  struct BEdge {
-    int a, b, outside;
-  };
-
-  std::vector<Vec2> pts_;
-  std::vector<WorkTri> tris_;
-  int superBase_ = -1;
-  int lastAlive_ = 0;
-
-  // Insert scratch, owned by the builder so inserts do not allocate once
-  // the vectors have grown. Stamped entries are valid only for the insert
-  // whose stamp they carry.
-  std::vector<int> badStamp_;  ///< Per triangle: stamp when in the cavity.
-  std::vector<int> bad_;
-  std::vector<int> stack_;
-  std::vector<BEdge> boundary_;
-  /// Per vertex: {stamp, fan triangle} whose boundary edge starts (startOf_)
-  /// or ends (endOf_) at the vertex.
-  std::vector<std::array<int, 2>> startOf_;
-  std::vector<std::array<int, 2>> endOf_;
+  State& s_;
 };
+
+/// Triangulates the points already in `s.pts` from empty into `out`.
+void buildFromEmpty(State& s, std::vector<Triangle>& out, std::vector<int>& remap) {
+  out.clear();
+  const std::size_t n = s.pts.size();
+  if (n < 3) return;
+  Builder b(s);
+  b.start(geom::BBox::of(s.pts));
+  for (int i = 0; i < static_cast<int>(n); ++i) b.insert(i);
+  b.legalizeFinite(nullptr, nullptr);
+  b.finish(out, remap);
+}
+
+/// All edges of `tris` as (u, v) pairs with u < v, sorted and unique, for
+/// a triangulation over `numPoints` points. `offsets` is scratch; `out` is
+/// overwritten. Both keep their capacity across calls.
+void collectEdges(const std::vector<Triangle>& tris, std::size_t numPoints,
+                  std::vector<int>& offsets, std::vector<std::pair<int, int>>& out) {
+  // Counting sort on u, then sort and dedup each (small) bucket on v.
+  offsets.assign(numPoints + 1, 0);
+  for (const Triangle& t : tris) {
+    for (int i = 0; i < 3; ++i) {
+      const int u = std::min(t.v[static_cast<std::size_t>(i)],
+                             t.v[static_cast<std::size_t>((i + 1) % 3)]);
+      ++offsets[static_cast<std::size_t>(u) + 1];
+    }
+  }
+  for (std::size_t u = 0; u < numPoints; ++u) offsets[u + 1] += offsets[u];
+  out.resize(static_cast<std::size_t>(offsets[numPoints]));
+  for (const Triangle& t : tris) {
+    for (int i = 0; i < 3; ++i) {
+      int u = t.v[static_cast<std::size_t>(i)];
+      int v = t.v[static_cast<std::size_t>((i + 1) % 3)];
+      if (u > v) std::swap(u, v);
+      out[static_cast<std::size_t>(offsets[static_cast<std::size_t>(u)]++)] = {u, v};
+    }
+  }
+  // offsets[u] now holds the end of bucket u, which is where u + 1 begins.
+  std::size_t kept = 0;
+  std::size_t begin = 0;
+  for (std::size_t u = 0; u < numPoints; ++u) {
+    const auto end = static_cast<std::size_t>(offsets[u]);
+    const auto first = out.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = out.begin() + static_cast<std::ptrdiff_t>(end);
+    std::sort(first, last);
+    const auto uniqueEnd = std::unique(first, last);
+    for (auto it = first; it != uniqueEnd; ++it) out[kept++] = *it;
+    begin = end;
+  }
+  out.resize(kept);
+}
 
 }  // namespace
 
 DelaunayTriangulation::DelaunayTriangulation(const std::vector<geom::Vec2>& points)
     : pts_(points) {
   if (points.size() < 3) return;
-  Builder b(points);
-  tris_ = b.finish();
+  State s;
+  s.pts = points;
+  std::vector<int> remap;
+  buildFromEmpty(s, tris_, remap);
 }
 
 std::vector<std::pair<int, int>> DelaunayTriangulation::edges() const {
+  std::vector<int> offsets;
   std::vector<std::pair<int, int>> all;
-  all.reserve(tris_.size() * 3);
-  for (const Triangle& t : tris_) {
-    for (int i = 0; i < 3; ++i) {
-      int u = t.v[static_cast<std::size_t>(i)];
-      int v = t.v[static_cast<std::size_t>((i + 1) % 3)];
-      if (u > v) std::swap(u, v);
-      all.emplace_back(u, v);
-    }
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+  collectEdges(tris_, pts_.size(), offsets, all);
   return all;
 }
 
@@ -327,6 +386,47 @@ bool DelaunayTriangulation::hasEdge(int u, int v) const {
     }
   }
   return false;
+}
+
+DelaunayPrefix::DelaunayPrefix(const std::vector<geom::Vec2>& sites)
+    : sites_(sites), box_(geom::BBox::of(sites)), resumable_(sites.size() >= 3) {
+  if (!resumable_) return;
+  // The snapshot: the sites inserted into the super-triangle of their box,
+  // before legalization, with every triangle marked unedited.
+  snapshot_.pts = sites;
+  Builder snap(snapshot_);
+  snap.start(box_);
+  for (int i = 0; i < static_cast<int>(sites.size()); ++i) snap.insert(i);
+  for (auto& t : snapshot_.tris) t.edited = false;
+
+  // DT(sites) is the snapshot legalized; the pass records the verdicts.
+  State copy = snapshot_;
+  verdicts_.assign(3 * snapshot_.tris.size(), -1);
+  Builder b(copy);
+  b.legalizeFinite(nullptr, verdicts_.data());
+  std::vector<int> scratch;
+  b.finish(siteTris_, scratch);
+  collectEdges(siteTris_, sites_.size(), scratch, siteEdges_);
+}
+
+bool DelaunayPrefix::triangulate(std::span<const geom::Vec2> extras,
+                                 TriangulationWorkspace& ws) const {
+  const std::size_t n = sites_.size() + extras.size();
+  bool resume = resumable_;
+  for (const geom::Vec2 p : extras) resume = resume && box_.contains(p);
+  if (resume) {
+    ws.state_ = snapshot_;
+    Builder b(ws.state_);
+    for (const geom::Vec2 p : extras) b.insert(b.addPoint(p));
+    b.legalizeFinite(verdicts_.data(), nullptr);
+    b.finish(ws.tris_, ws.remap_);
+  } else {
+    ws.state_.pts.assign(sites_.begin(), sites_.end());
+    ws.state_.pts.insert(ws.state_.pts.end(), extras.begin(), extras.end());
+    buildFromEmpty(ws.state_, ws.tris_, ws.remap_);
+  }
+  collectEdges(ws.tris_, n, ws.edgeOffsets_, ws.edges_);
+  return resume;
 }
 
 }  // namespace hybrid::delaunay

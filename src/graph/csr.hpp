@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -45,5 +46,12 @@ CsrAdjacency buildCsr(const GeometricGraph& g);
 /// Euclidean distances between the endpoints.
 CsrAdjacency buildCsr(const std::vector<std::vector<int>>& adj,
                       const std::vector<geom::Vec2>& pos);
+
+/// Rebuilds `out` in place (capacity reused) from an undirected edge list
+/// over `pos`. Each node lists its neighbors in edge-list order, the order
+/// GeometricGraph::addEdge() would give them; unlike addEdge(), repeated
+/// edges and self-loops are kept, once per occurrence.
+void buildCsr(std::span<const std::pair<NodeId, NodeId>> edges,
+              const std::vector<geom::Vec2>& pos, CsrAdjacency& out);
 
 }  // namespace hybrid::graph

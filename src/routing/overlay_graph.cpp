@@ -11,7 +11,6 @@
 
 #include "delaunay/triangulation.hpp"
 #include "graph/dijkstra_workspace.hpp"
-#include "graph/shortest_path.hpp"
 #include "obs/span.hpp"
 #include "util/parallel.hpp"
 
@@ -35,6 +34,7 @@ struct QueryMetrics {
   obs::Counter& visRun;
   obs::Counter& visPruned;
   obs::Counter& visMiss;
+  obs::Counter& prefixMiss;
   obs::Counter& wsReuse;
   obs::Counter& wsGrow;
   obs::Histogram& hubMerge;
@@ -47,6 +47,7 @@ struct QueryMetrics {
                           reg.counter("overlay.vis_tests.run"),
                           reg.counter("overlay.vis_tests.pruned"),
                           reg.counter("overlay.vis_tests.lookup_miss"),
+                          reg.counter("overlay.query.prefix_miss"),
                           reg.counter("overlay.workspace.reuse_hits"),
                           reg.counter("overlay.workspace.grows"),
                           reg.histogram("overlay.query.hub_merge_len",
@@ -217,21 +218,20 @@ void OverlayGraph::buildSiteEdges() {
     }
   } else {
     // Delaunay of the sites; keep only hole-free edges, plus the backbone.
-    // Both verdict lists stay sorted like dt.edges() for the query merge.
+    // Both verdict lists stay sorted like the query edges for the merge.
+    // The prefix keeps the DT(sites) build for the queries to resume.
     siteAdj_.assign(sitePos_.size(), {});
-    if (sitePos_.size() >= 3) {
-      const delaunay::DelaunayTriangulation dt(sitePos_);
-      for (const auto& e : dt.edges()) {
-        const auto [u, v] = e;
-        if (vis_.visible(sitePos_[static_cast<std::size_t>(u)],
-                         sitePos_[static_cast<std::size_t>(v)])) {
-          siteAdj_[static_cast<std::size_t>(u)].push_back(v);
-          siteAdj_[static_cast<std::size_t>(v)].push_back(u);
-          siteEdgesVisible_.push_back(e);
-          ++precomputedEdges_;
-        } else {
-          siteEdgesBlocked_.push_back(e);
-        }
+    prefix_ = delaunay::DelaunayPrefix(sitePos_);
+    for (const auto& e : prefix_.siteEdges()) {
+      const auto [u, v] = e;
+      if (vis_.visible(sitePos_[static_cast<std::size_t>(u)],
+                       sitePos_[static_cast<std::size_t>(v)])) {
+        siteAdj_[static_cast<std::size_t>(u)].push_back(v);
+        siteAdj_[static_cast<std::size_t>(v)].push_back(u);
+        siteEdgesVisible_.push_back(e);
+        ++precomputedEdges_;
+      } else {
+        siteEdgesBlocked_.push_back(e);
       }
     }
   }
@@ -240,7 +240,7 @@ void OverlayGraph::buildSiteEdges() {
 void OverlayGraph::buildSitePairTable() {
   obs::ScopedSpan span("site_table");
   const std::size_t h = sitePos_.size();
-  // Delaunay queries re-triangulate with the endpoints inserted, so the
+  // Delaunay queries triangulate with the endpoints inserted, so the
   // static site graph cannot answer them; only visibility mode serves
   // incrementally. (With fewer than 3 points the Delaunay query graph
   // degenerates to the visibility form, but such overlays are trivially
@@ -366,7 +366,8 @@ bool OverlayGraph::sitePathLocal(int i, int j, std::vector<int>& out) const {
   return true;
 }
 
-OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to) const {
+OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to,
+                                                  OverlayQueryWorkspace& ws) const {
   Query q;
   // Reuse a site when the endpoint coincides with it (e.g. routing from a
   // hull node), so the triangulation never sees duplicate points.
@@ -377,20 +378,26 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
     if (sitePos_[static_cast<std::size_t>(i)] == to) toSite = i;
   }
 
-  std::vector<geom::Vec2> pts = sitePos_;
+  std::vector<geom::Vec2>& pts = ws.queryPts_;
+  pts.assign(sitePos_.begin(), sitePos_.end());
   q.fromIdx = fromSite >= 0 ? fromSite : static_cast<int>(pts.size());
   if (fromSite < 0) pts.push_back(from);
   q.toIdx = toSite >= 0 ? toSite : static_cast<int>(pts.size());
   if (toSite < 0 && !(from == to)) pts.push_back(to);
   if (toSite < 0 && from == to) q.toIdx = q.fromIdx;
 
-  q.g = graph::GeometricGraph(pts);
+  // The edges go into a list in GeometricGraph::addEdge() order, without
+  // its duplicate check: a repeated edge lands after its first copy in
+  // both endpoints' CSR lists, where Dijkstra's strict relaxation finds it
+  // no shorter, so the distances and the predecessor tree are unchanged.
+  std::vector<std::pair<int, int>>& edges = ws.queryEdges_;
+  edges.clear();
   const int ns = static_cast<int>(sitePos_.size());
 
   if (edgeMode_ == EdgeMode::Visibility || pts.size() < 3) {
     for (int i = 0; i < ns; ++i) {
       for (int j : siteAdj_[static_cast<std::size_t>(i)]) {
-        if (j > i) q.g.addEdge(i, j);
+        if (j > i) edges.emplace_back(i, j);
       }
     }
     for (const int endpoint : {q.fromIdx, q.toIdx}) {
@@ -400,25 +407,28 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
         ++q.visTests;
         if (vis_.visible(pts[static_cast<std::size_t>(endpoint)],
                          pts[static_cast<std::size_t>(i)])) {
-          q.g.addEdge(endpoint, i);
+          edges.emplace_back(endpoint, i);
         }
       }
     }
+    graph::buildCsr(edges, pts, ws.queryCsr_);
     return q;
   }
 
-  // Delaunay mode: re-triangulate sites + endpoints and prune hole-crossing
-  // edges; keep the (hole-free) backbone. Inserting points never creates a
-  // Delaunay edge between two old points (empty-circle property), so each
-  // site-site edge here is a DT(sites) edge whose verdict buildSiteEdges()
-  // computed in the same u < v orientation; the verdict lists are sorted
-  // like dt.edges(), so one merge pass finds them. Only edges touching s or
-  // t are tested, plus any site pair the build did not see (degenerate or
-  // cocircular sites, whose tie-breaking depends on the whole point set).
-  const delaunay::DelaunayTriangulation dt(pts);
+  // Delaunay mode: triangulate sites + endpoints (resuming the DT(sites)
+  // build) and prune hole-crossing edges; keep the (hole-free) backbone.
+  // Inserting points never creates a Delaunay edge between two old points
+  // (empty-circle property), so each site-site edge here is a DT(sites)
+  // edge whose verdict buildSiteEdges() computed in the same u < v
+  // orientation; the verdict lists are sorted like the query edges, so one
+  // merge pass finds them. Only edges touching s or t are tested, plus any
+  // site pair the build did not see (degenerate or cocircular sites, whose
+  // tie-breaking depends on the whole point set).
+  const std::span<const geom::Vec2> extras(pts.data() + ns, pts.size() - sitePos_.size());
+  q.prefixMiss = !prefix_.triangulate(extras, ws.triWs_);
   auto visIt = siteEdgesVisible_.begin();
   auto blockedIt = siteEdgesBlocked_.begin();
-  for (const auto& e : dt.edges()) {
+  for (const auto& e : ws.triWs_.edges()) {
     const auto [u, v] = e;
     bool visible = false;
     bool known = false;
@@ -433,7 +443,7 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
       ++q.visTests;
       visible = vis_.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)]);
     }
-    if (visible) q.g.addEdge(u, v);
+    if (visible) edges.push_back(e);
   }
   // The backbone (consecutive abstraction nodes of one hole) is kept
   // unconditionally for hull/lch/ring sites: a chord between adjacent hull
@@ -449,25 +459,29 @@ OverlayGraph::Query OverlayGraph::buildQueryGraph(geom::Vec2 from, geom::Vec2 to
         continue;
       }
     }
-    q.g.addEdge(u, v);
+    edges.emplace_back(u, v);
   }
+  graph::buildCsr(edges, pts, ws.queryCsr_);
   return q;
 }
 
-void OverlayGraph::queryRebuild(geom::Vec2 from, geom::Vec2 to, OverlayRoute& out) const {
-  const Query q = buildQueryGraph(from, to);
+void OverlayGraph::queryRebuild(geom::Vec2 from, geom::Vec2 to, OverlayQueryWorkspace& ws,
+                                OverlayRoute& out) const {
+  const Query q = buildQueryGraph(from, to, ws);
   HYBRID_OBS_STMT(if (obs::enabled()) {
     auto& m = QueryMetrics::get();
     m.rebuild.add(1);
     m.visRun.add(q.visTests);
     m.visMiss.add(q.lookupMisses);
+    if (q.prefixMiss) m.prefixMiss.add(1);
   });
-  const auto tree = graph::dijkstra(q.g, q.fromIdx, q.toIdx);
-  out.distance = tree.dist[static_cast<std::size_t>(q.toIdx)];
-  const auto path = tree.pathTo(q.toIdx);
-  if (path.empty() && q.fromIdx != q.toIdx) return;  // unreachable
+  // DijkstraWorkspace breaks ties exactly as graph::dijkstra() does.
+  ws.dijkstra_.run(ws.queryCsr_, q.fromIdx, q.toIdx);
+  out.distance = ws.dijkstra_.dist(q.toIdx);
+  ws.dijkstra_.pathTo(q.toIdx, ws.queryPath_);
+  if (ws.queryPath_.empty() && q.fromIdx != q.toIdx) return;  // unreachable
   out.reachable = true;
-  for (graph::NodeId v : path) {
+  for (graph::NodeId v : ws.queryPath_) {
     if (v == q.fromIdx || v == q.toIdx) continue;
     if (v < static_cast<int>(sites_.size())) {
       out.waypoints.push_back(sites_[static_cast<std::size_t>(v)]);
@@ -762,7 +776,7 @@ void OverlayGraph::query(geom::Vec2 from, geom::Vec2 to, OverlayQueryWorkspace& 
   if (incremental_) {
     queryIncremental(from, to, ws, out);
   } else {
-    queryRebuild(from, to, out);
+    queryRebuild(from, to, ws, out);
   }
 }
 

@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "abstraction/hole_abstraction.hpp"
+#include "delaunay/triangulation.hpp"
 #include "geom/visibility.hpp"
 #include "graph/csr.hpp"
+#include "graph/dijkstra_workspace.hpp"
 #include "graph/graph.hpp"
 #include "holes/hole_detection.hpp"
 #include "obs/metrics.hpp"
@@ -70,7 +72,7 @@ struct OverlayRoute {
 };
 
 /// Per-thread scratch state for OverlayGraph::query(). Queries through a
-/// workspace perform zero steady-state heap allocations (visibility mode);
+/// workspace perform zero steady-state heap allocations (both edge modes);
 /// one workspace must not be shared between concurrent queries.
 /// Cache-line-aligned so per-thread workspaces never false-share.
 class alignas(64) OverlayQueryWorkspace {
@@ -97,6 +99,15 @@ class alignas(64) OverlayQueryWorkspace {
   std::uint64_t hubGen_ = 0;
   /// Batched seed-bound scratch (HubLabelOracle::distanceMany).
   HubLabelOracle::MergeWorkspace hubMergeWs_;
+  /// Rebuild-path scratch (Delaunay mode): the query's points (sites, then
+  /// the endpoints that are not sites), its triangulation, the query
+  /// graph's edges in insertion order and their CSR, and the Dijkstra.
+  std::vector<geom::Vec2> queryPts_;
+  delaunay::TriangulationWorkspace triWs_;
+  std::vector<std::pair<int, int>> queryEdges_;
+  graph::CsrAdjacency queryCsr_;
+  graph::DijkstraWorkspace dijkstra_;
+  std::vector<graph::NodeId> queryPath_;
   /// Per-query observability tallies, flushed into the global registry at
   /// the end of each query (obs::enabled() only; never affect results).
   std::uint64_t obsVisRun_ = 0;     ///< Visibility tests actually evaluated.
@@ -113,16 +124,20 @@ class alignas(64) OverlayQueryWorkspace {
 /// parallel at construction), so a query only connects the two endpoints
 /// to their visible sites and minimizes d(s, i) + table[i][j] + d(j, t)
 /// over entry/exit-site pairs — no graph rebuild, no per-query Dijkstra,
-/// no allocation. Delaunay mode genuinely re-triangulates per query
-/// (inserting s and t changes the edge set), so it keeps the rebuild path,
-/// but it reuses the build-time visibility verdicts: inserting points
-/// never creates a Delaunay edge between two old points, so each
-/// site-site edge of the query triangulation is a DT(sites) edge whose
-/// verdict the build stored. A query tests only the edges touching s or t
-/// (plus any site pair the build did not see, for degenerate inputs) and
-/// then runs one Dijkstra over the query graph. Both modes answer
-/// waypoints and distance from one solve. All query methods are const and
-/// safe to call concurrently.
+/// no allocation. In Delaunay mode inserting s and t changes the edge
+/// set, so each query triangulates sites + endpoints, but it does not
+/// start from empty: the build keeps the DT(sites) builder state as a
+/// delaunay::DelaunayPrefix, and a query resumes it with s and t (the
+/// result equals a fresh triangulation whenever both lie in the sites'
+/// bounding box; otherwise the query triangulates from empty). It also
+/// reuses the build-time visibility verdicts: inserting points never
+/// creates a Delaunay edge between two old points, so each site-site edge
+/// of the query triangulation is a DT(sites) edge whose verdict the build
+/// stored. A query tests only the edges touching s or t (plus any site
+/// pair the build did not see, for degenerate inputs) and then runs one
+/// Dijkstra over the query graph, all inside the caller's workspace. Both
+/// modes answer waypoints and distance from one solve. All query methods
+/// are const and safe to call concurrently.
 class OverlayGraph {
  public:
   OverlayGraph(const graph::GeometricGraph& ldel, const holes::HoleAnalysis& analysis,
@@ -204,19 +219,22 @@ class OverlayGraph {
                                                                    std::size_t autoThreshold);
 
  private:
+  /// Shape of a query graph built into a workspace (ws.queryCsr_ over
+  /// ws.queryPts_: sites, then from/to unless they coincide with a site).
   struct Query {
-    graph::GeometricGraph g;  ///< sites + possibly from/to appended
     int fromIdx = -1;
     int toIdx = -1;
     std::uint64_t visTests = 0;      ///< Visibility tests evaluated.
     std::uint64_t lookupMisses = 0;  ///< Site-site edges without a build verdict.
+    bool prefixMiss = false;         ///< Triangulated from empty, not resumed.
   };
-  Query buildQueryGraph(geom::Vec2 from, geom::Vec2 to) const;
+  Query buildQueryGraph(geom::Vec2 from, geom::Vec2 to, OverlayQueryWorkspace& ws) const;
   void buildSiteEdges();
   void buildSitePairTable();
   void queryIncremental(geom::Vec2 from, geom::Vec2 to, OverlayQueryWorkspace& ws,
                         OverlayRoute& out) const;
-  void queryRebuild(geom::Vec2 from, geom::Vec2 to, OverlayRoute& out) const;
+  void queryRebuild(geom::Vec2 from, geom::Vec2 to, OverlayQueryWorkspace& ws,
+                    OverlayRoute& out) const;
   /// Appends the local-index site path i -> j (inclusive) from the pair
   /// table into `out`; false when disconnected or the pred chain is bad.
   bool sitePathLocal(int i, int j, std::vector<int>& out) const;
@@ -228,6 +246,8 @@ class OverlayGraph {
   /// Site-to-site adjacency (visibility mode precomputes it; Delaunay mode
   /// re-triangulates per query because inserting s and t changes edges).
   std::vector<std::vector<int>> siteAdj_;
+  /// Delaunay mode: the resumable DT(sites) build each query continues.
+  delaunay::DelaunayPrefix prefix_;
   /// Delaunay mode: the DT(sites) edges (u < v, sorted) split by their
   /// build-time visibility verdict, reused by every query triangulation.
   std::vector<std::pair<int, int>> siteEdgesVisible_;

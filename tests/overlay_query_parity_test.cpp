@@ -472,6 +472,63 @@ TEST(OverlayParity, DegenerateSitesDelaunayMatchesRebuild) {
   obs::setEnabled(obsWas);
 }
 
+/// Endpoints outside the sites' bounding box would change the builder's
+/// super-triangle, so those Delaunay queries triangulate from empty
+/// instead of resuming the kept DT(sites) build. Both paths must answer
+/// bit-identically to the testkit's fresh rebuild, and
+/// overlay.query.prefix_miss must count exactly the from-empty queries.
+TEST(OverlayParity, DelaunayEndpointsOutsideSiteBoxMatchRebuild) {
+  const bool obsWas = obs::enabled();
+  obs::setEnabled(true);
+  auto& rebuilds = obs::Registry::global().counter("overlay.query.rebuild");
+  auto& prefixMisses = obs::Registry::global().counter("overlay.query.prefix_miss");
+  const auto rebuildsBefore = rebuilds.value();
+  const auto missesBefore = prefixMisses.value();
+
+  scenario::ScenarioParams p;
+  p.width = p.height = 20.0;
+  p.seed = 91;
+  p.obstacles.push_back(scenario::rectangleObstacle({5.0, 5.0}, {9.0, 8.0}));
+  p.obstacles.push_back(scenario::regularPolygonObstacle({13.5, 12.5}, 2.5, 7));
+  const auto sc = scenario::makeScenario(p);
+  const core::HybridNetwork net(sc.points);
+  const auto router = net.makeRouter({SiteMode::HullNodes, EdgeMode::Delaunay, true});
+  const OverlayGraph& overlay = router->overlay();
+  ASSERT_GE(overlay.sites().size(), 3u);
+  const auto siteBox = geom::BBox::of(overlay.sitePositions());
+  const auto deployBox = geom::BBox::of(net.ldel().positions());
+
+  // The outer boundary's hull nodes are sites too, so the sites' box is
+  // about the deployment's; endpoints are drawn from a box 30% wider.
+  const double mx = 0.15 * deployBox.width();
+  const double my = 0.15 * deployBox.height();
+  std::mt19937_64 rng(testkit::deriveSeed(91, 0x6f757473));
+  std::uniform_real_distribution<double> dx(deployBox.lo.x - mx, deployBox.hi.x + mx);
+  std::uniform_real_distribution<double> dy(deployBox.lo.y - my, deployBox.hi.y + my);
+  std::uniform_int_distribution<int> pickSite(0, static_cast<int>(overlay.sites().size()) - 1);
+  std::uint64_t expectMisses = 0;
+  int queries = 0;
+  for (int q = 0; q < 80; ++q) {
+    geom::Vec2 a{dx(rng), dy(rng)};
+    geom::Vec2 b{dx(rng), dy(rng)};
+    if (q % 4 == 1) a = overlay.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
+    if (q % 4 == 2) b = {deployBox.lo.x - mx, deployBox.hi.y};  // off the left side
+    const auto ref = testkit::referenceOverlayQuery(overlay, a, b);
+    const auto fresh = overlay.waypointsWithDistance(a, b);
+    ++queries;
+    if (!siteBox.contains(a) || !siteBox.contains(b)) ++expectMisses;
+    ASSERT_EQ(fresh.reachable, ref.reachable) << "q=" << q;
+    EXPECT_EQ(fresh.distance, ref.distance) << "q=" << q;
+    EXPECT_EQ(fresh.waypoints, ref.waypoints) << "q=" << q;
+  }
+  const auto misses = prefixMisses.value() - missesBefore;
+  EXPECT_EQ(rebuilds.value() - rebuildsBefore, static_cast<std::uint64_t>(queries));
+  EXPECT_EQ(misses, expectMisses);
+  EXPECT_GT(misses, 10u);                                       // from empty
+  EXPECT_GT(static_cast<std::uint64_t>(queries) - misses, 10u);  // resumed
+  obs::setEnabled(obsWas);
+}
+
 /// The same failure class hunted statistically: the hull_tangent generator
 /// builds low-jitter twin-rectangle deployments whose hole hulls run
 /// parallel and nearly touch, so endpoint visibility segments keep grazing

@@ -5,6 +5,7 @@
 
 #include "alloc_counter.hpp"
 #include "core/hybrid_network.hpp"
+#include "geom/bbox.hpp"
 #include "graph/csr.hpp"
 #include "graph/dijkstra_workspace.hpp"
 #include "graph/shortest_path.hpp"
@@ -176,6 +177,49 @@ TEST(QueryEngine, OverlayWorkspaceQueriesAreAllocationFree) {
   ASSERT_FALSE(out.waypoints.empty());
   // Warm-up sweep over the exact measured query mix so every scratch
   // vector reaches its high-water capacity.
+  for (const auto& [a, b] : queries) overlay.query(a, b, ws, out);
+
+  const long before = testsupport::heapAllocCount();
+  for (const auto& [a, b] : queries) overlay.query(a, b, ws, out);
+  if (testsupport::heapAllocCountingEnabled()) {
+    EXPECT_EQ(testsupport::heapAllocCount(), before);
+  }
+}
+
+TEST(QueryEngine, DelaunayWorkspaceQueriesAreAllocationFree) {
+  // Delaunay mode triangulates, builds the query graph and runs Dijkstra
+  // per query, all in the workspace. The query mix resumes the DT(sites)
+  // build for endpoints inside the sites' box (about the deployment, as
+  // the outer boundary's hull nodes are sites) and triangulates from empty
+  // for endpoints beyond it; both must reach steady state after warm-up.
+  scenario::ScenarioParams p;
+  p.width = p.height = 14.0;
+  p.seed = 77;
+  p.obstacles.push_back(scenario::rectangleObstacle({3.0, 3.0}, {6.0, 6.0}));
+  p.obstacles.push_back(scenario::rectangleObstacle({8.0, 8.0}, {11.0, 11.0}));
+  const auto sc = scenario::makeScenario(p);
+  const core::HybridNetwork net(sc.points);
+  const auto router = net.makeRouter({SiteMode::HullNodes, EdgeMode::Delaunay, true});
+  const OverlayGraph& overlay = router->overlay();
+  ASSERT_FALSE(overlay.servesIncrementally());
+  const auto siteBox = geom::BBox::of(overlay.sitePositions());
+
+  OverlayQueryWorkspace ws;
+  OverlayRoute out;
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> d(-1.0, 15.0);
+  std::vector<std::pair<geom::Vec2, geom::Vec2>> queries;
+  int inside = 0;
+  for (int it = 0; it < 100; ++it) {
+    queries.push_back({{d(rng), d(rng)}, {d(rng), d(rng)}});
+    if (siteBox.contains(queries.back().first) && siteBox.contains(queries.back().second)) {
+      ++inside;
+    }
+  }
+  ASSERT_GT(inside, 10);
+  ASSERT_LT(inside, 90);
+  overlay.query({2.0, 7.0}, {12.0, 7.0}, ws, out);
+  ASSERT_TRUE(out.reachable);
   for (const auto& [a, b] : queries) overlay.query(a, b, ws, out);
 
   const long before = testsupport::heapAllocCount();
