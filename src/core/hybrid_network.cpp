@@ -2,6 +2,7 @@
 
 #include "geom/segment.hpp"
 #include "graph/shortest_path.hpp"
+#include "obs/span.hpp"
 
 namespace hybrid::core {
 
@@ -22,10 +23,23 @@ HybridNetwork::HybridNetwork(std::vector<geom::Vec2> points,
                              routing::HybridOptions routerOptions,
                              const routing::HybridRouter* overlayDonor)
     : radius_(options.radius) {
-  ldel_ = delaunay::buildLocalizedDelaunay(points, options);
-  holes_ = holes::detectHoles(ldel_.graph, radius_);
-  abstractions_ = abstraction::buildAbstractions(ldel_.graph, holes_, radius_);
-  subdivision_ = std::make_unique<routing::PlanarSubdivision>(ldel_.graph, holes_, radius_);
+  {
+    obs::ScopedSpan span("core.build.ldel");
+    ldel_ = delaunay::buildLocalizedDelaunay(points, options);
+  }
+  {
+    obs::ScopedSpan span("core.build.holes");
+    holes_ = holes::detectHoles(ldel_.graph, radius_);
+  }
+  {
+    obs::ScopedSpan span("core.build.abstraction");
+    abstractions_ = abstraction::buildAbstractions(ldel_.graph, holes_, radius_);
+  }
+  {
+    obs::ScopedSpan span("core.build.subdivision");
+    subdivision_ = std::make_unique<routing::PlanarSubdivision>(ldel_.graph, holes_, radius_);
+  }
+  obs::ScopedSpan span("core.build.router");
   router_ = std::make_unique<routing::HybridRouter>(ldel_.graph, holes_, abstractions_,
                                                     *subdivision_, routerOptions, overlayDonor);
 }

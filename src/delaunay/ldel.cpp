@@ -7,7 +7,6 @@
 #include "delaunay/udg.hpp"
 #include "geom/predicates.hpp"
 #include "geom/segment.hpp"
-#include "graph/shortest_path.hpp"
 #include "spatial/grid_index.hpp"
 #include "util/parallel.hpp"
 
@@ -66,15 +65,33 @@ LocalizedDelaunay buildLocalizedDelaunay(const std::vector<geom::Vec2>& points,
 
   const unsigned threads = util::resolveThreads(opts.threads);
 
-  // k-hop neighborhoods (including the node itself), as sorted vectors.
+  // k-hop neighborhoods (including the node itself), as sorted vectors: a
+  // BFS per node over chunk-local hop marks, resetting only the entries it
+  // visited.
   std::vector<std::vector<int>> khop(static_cast<std::size_t>(n));
-  util::parallelChunks(static_cast<std::size_t>(n), threads,
-                       [&](std::size_t begin, std::size_t end, unsigned) {
-                         for (std::size_t v = begin; v < end; ++v) {
-                           khop[v] = graph::kHopNeighborhood(
-                               out.udg, static_cast<int>(v), opts.k);
-                         }
-                       });
+  util::parallelChunks(
+      static_cast<std::size_t>(n), threads, [&](std::size_t begin, std::size_t end, unsigned) {
+        std::vector<int> hops(static_cast<std::size_t>(n), -1);
+        std::vector<int> queue;
+        for (std::size_t v = begin; v < end; ++v) {
+          queue.assign(1, static_cast<int>(v));
+          hops[v] = 0;
+          for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+            const int u = queue[qi];
+            const int hu = hops[static_cast<std::size_t>(u)];
+            if (opts.k >= 0 && hu >= opts.k) continue;
+            for (int w : out.udg.neighbors(u)) {
+              if (hops[static_cast<std::size_t>(w)] < 0) {
+                hops[static_cast<std::size_t>(w)] = hu + 1;
+                queue.push_back(w);
+              }
+            }
+          }
+          for (int u : queue) hops[static_cast<std::size_t>(u)] = -1;
+          std::sort(queue.begin(), queue.end());
+          khop[v] = queue;
+        }
+      });
 
   // Gabriel edges: UDG edges whose diametral circle is empty. Only nodes
   // within ||uv||/2 of the midpoint can violate emptiness.

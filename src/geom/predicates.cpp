@@ -48,6 +48,15 @@ int inCircleExact(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
   return det.sign();
 }
 
+bool inDiametralCircleExact(Vec2 a, Vec2 b, Vec2 d) {
+  const Expansion adx = Expansion::twoDiff(a.x, d.x);
+  const Expansion ady = Expansion::twoDiff(a.y, d.y);
+  const Expansion bdx = Expansion::twoDiff(b.x, d.x);
+  const Expansion bdy = Expansion::twoDiff(b.y, d.y);
+  const Expansion dot = adx * bdx + ady * bdy;
+  return dot.sign() < 0;
+}
+
 }  // namespace
 
 double orientValue(Vec2 a, Vec2 b, Vec2 c) {
@@ -108,13 +117,17 @@ int inCircle(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
 
 bool inDiametralCircle(Vec2 a, Vec2 b, Vec2 d) {
   // d is strictly inside the circle with diameter ab iff the angle (a,d,b)
-  // is obtuse, i.e. (a-d)·(b-d) < 0. Evaluate exactly.
-  const Expansion adx = Expansion::twoDiff(a.x, d.x);
-  const Expansion ady = Expansion::twoDiff(a.y, d.y);
-  const Expansion bdx = Expansion::twoDiff(b.x, d.x);
-  const Expansion bdy = Expansion::twoDiff(b.y, d.y);
-  const Expansion dot = adx * bdx + ady * bdy;
-  return dot.sign() < 0;
+  // is obtuse, i.e. (a-d)·(b-d) < 0. The dot product has orient()'s shape
+  // (two rounded differences per term, two products, one sum), so
+  // Shewchuk's bound applies as is: the float value is within
+  // kCcwErrBound * (|adx*bdx| + |ady*bdy|) of the exact one. Outside that
+  // band its sign is exact; inside it, or at 0, evaluate exactly.
+  const double adxbdx = (a.x - d.x) * (b.x - d.x);
+  const double adybdy = (a.y - d.y) * (b.y - d.y);
+  const double dot = adxbdx + adybdy;
+  const double errbound = kCcwErrBound * (std::fabs(adxbdx) + std::fabs(adybdy));
+  if (dot > errbound || -dot > errbound) return dot < 0.0;
+  return inDiametralCircleExact(a, b, d);
 }
 
 bool onSegment(Vec2 a, Vec2 b, Vec2 c) {

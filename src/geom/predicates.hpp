@@ -27,7 +27,8 @@ double orientValue(Vec2 a, Vec2 b, Vec2 c);
 int inCircle(Vec2 a, Vec2 b, Vec2 c, Vec2 d);
 
 /// True if d lies strictly inside the circle with diameter ab (Gabriel test).
-/// Exact: evaluates (d-m)·(d-m) < r² as sign of a polynomial in the inputs.
+/// Exact: the sign of (a-d)·(b-d), decided by a floating-point filter and,
+/// when the filter cannot, by expansion arithmetic.
 bool inDiametralCircle(Vec2 a, Vec2 b, Vec2 d);
 
 /// True if c lies on the closed segment [a, b] (collinear and between).

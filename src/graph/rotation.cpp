@@ -6,17 +6,24 @@
 
 namespace hybrid::graph {
 
+void sortCcw(const GeometricGraph& g, NodeId at, std::span<NodeId> nbrs,
+             std::vector<CcwKey>& scratch) {
+  const geom::Vec2 pa = g.position(at);
+  scratch.clear();
+  for (NodeId v : nbrs) scratch.push_back({geom::directionAngle(pa, g.position(v)), v});
+  std::sort(scratch.begin(), scratch.end(),
+            [](const CcwKey& a, const CcwKey& b) { return a.angle < b.angle; });
+  for (std::size_t i = 0; i < nbrs.size(); ++i) nbrs[i] = scratch[i].node;
+}
+
 RotationSystem::RotationSystem(const GeometricGraph& g) : g_(g) {
   order_.resize(g.numNodes());
+  std::vector<CcwKey> scratch;
   for (NodeId v = 0; v < static_cast<NodeId>(g.numNodes()); ++v) {
     auto nbrs = g.neighbors(v);
-    std::vector<NodeId> sorted(nbrs.begin(), nbrs.end());
-    const geom::Vec2 pv = g.position(v);
-    std::sort(sorted.begin(), sorted.end(), [&](NodeId a, NodeId b) {
-      return geom::directionAngle(pv, g.position(a)) <
-             geom::directionAngle(pv, g.position(b));
-    });
-    order_[static_cast<std::size_t>(v)] = std::move(sorted);
+    auto& sorted = order_[static_cast<std::size_t>(v)];
+    sorted.assign(nbrs.begin(), nbrs.end());
+    sortCcw(g, v, sorted, scratch);
   }
 }
 

@@ -1,10 +1,25 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace hybrid::graph {
+
+/// Scratch entry of sortCcw(): a neighbour and its direction angle.
+struct CcwKey {
+  double angle;
+  NodeId node;
+};
+
+/// Sorts `nbrs`, neighbours of node `at`, counter-clockwise by direction
+/// angle from `at` in [0, 2π). Each angle is computed once; std::sort keyed
+/// by them makes the same comparisons as sorting by recomputed angles, so
+/// ties come out in the same order. The one ccw ordering of the library:
+/// RotationSystem and the planar half-edge structure both use it.
+void sortCcw(const GeometricGraph& g, NodeId at, std::span<NodeId> nbrs,
+             std::vector<CcwKey>& scratch);
 
 /// Rotation system of a plane-embedded graph: per node, its neighbors in
 /// counter-clockwise angular order, with successor/predecessor queries.

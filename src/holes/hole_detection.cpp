@@ -1,9 +1,6 @@
 #include "holes/hole_detection.hpp"
 
 #include <algorithm>
-#include <set>
-
-#include "graph/planar_faces.hpp"
 
 namespace hybrid::holes {
 
@@ -17,9 +14,19 @@ geom::Polygon ringPolygon(const graph::GeometricGraph& g,
   return geom::Polygon(std::move(pts));
 }
 
-std::size_t distinctCount(const std::vector<graph::NodeId>& ring) {
-  std::set<graph::NodeId> s(ring.begin(), ring.end());
-  return s.size();
+// Distinct nodes of a face walk; `mark` holds a per-node stamp, all
+// different from `stamp` on entry.
+std::size_t distinctCount(const std::vector<graph::NodeId>& ring, std::vector<int>& mark,
+                          int stamp) {
+  std::size_t count = 0;
+  for (graph::NodeId v : ring) {
+    int& m = mark[static_cast<std::size_t>(v)];
+    if (m != stamp) {
+      m = stamp;
+      ++count;
+    }
+  }
+  return count;
 }
 
 }  // namespace
@@ -35,17 +42,19 @@ HoleAnalysis detectHoles(const graph::GeometricGraph& ldel, double radius) {
   HoleAnalysis out;
   out.isHoleNode.assign(ldel.numNodes(), 0);
   out.holesOfNode.assign(ldel.numNodes(), {});
+  std::vector<int> mark(ldel.numNodes(), -1);
+  int stamp = 0;
 
   // Inner holes: bounded faces with >= 4 distinct nodes.
-  const auto faces = graph::enumerateFaces(ldel);
-  for (const auto& f : faces) {
+  graph::PlanarEmbedding plain = graph::embedPlanar(ldel);
+  for (const auto& f : plain.faces) {
     if (f.outer) {
       // The outer face of the (connected) LDel graph: keep the largest walk
       // in case isolated components produce several outer walks.
       if (f.cycle.size() > out.outerBoundary.size()) out.outerBoundary = f.cycle;
       continue;
     }
-    if (distinctCount(f.cycle) < 4) continue;
+    if (f.cycle.size() < 4 || distinctCount(f.cycle, mark, stamp++) < 4) continue;
     Hole h;
     h.ring = f.cycle;
     h.polygon = ringPolygon(ldel, h.ring);
@@ -55,32 +64,35 @@ HoleAnalysis detectHoles(const graph::GeometricGraph& ldel, double radius) {
 
   // Outer holes: augment with the convex hull of V and look for bounded
   // faces that use a hull edge longer than the radius.
+  auto aug = std::make_shared<HullAugmentation>();
+  aug->radius = radius;
+  auto& longHullEdges = aug->longHullEdges;
   const auto hullIdx = geom::convexHullIndices(ldel.positions());
-  std::set<std::pair<graph::NodeId, graph::NodeId>> longHullEdges;
-  graph::GeometricGraph augmented = ldel;
   for (std::size_t i = 0; i < hullIdx.size(); ++i) {
     const graph::NodeId a = hullIdx[i];
     const graph::NodeId b = hullIdx[(i + 1) % hullIdx.size()];
-    if (augmented.edgeLength(a, b) > radius && !augmented.hasEdge(a, b)) {
-      augmented.addEdge(a, b);
-      longHullEdges.insert({std::min(a, b), std::max(a, b)});
+    // A two-point hull lists its one edge twice.
+    if (ldel.edgeLength(a, b) > radius && !ldel.hasEdge(a, b) &&
+        std::find(longHullEdges.begin(), longHullEdges.end(), std::pair{b, a}) ==
+            longHullEdges.end()) {
+      longHullEdges.emplace_back(a, b);
     }
   }
-  if (!longHullEdges.empty()) {
-    for (const auto& f : graph::enumerateFaces(augmented)) {
-      if (f.outer || distinctCount(f.cycle) < 3) continue;
-      bool usesLongHullEdge = false;
-      for (std::size_t i = 0; i < f.cycle.size(); ++i) {
-        graph::NodeId a = f.cycle[i];
-        graph::NodeId b = f.cycle[(i + 1) % f.cycle.size()];
-        if (a > b) std::swap(a, b);
-        if (longHullEdges.contains({a, b})) {
-          usesLongHullEdge = true;
-          break;
-        }
+  if (longHullEdges.empty()) {
+    aug->embedding = std::move(plain);
+  } else {
+    aug->embedding = graph::embedPlanar(ldel, longHullEdges);
+    const auto& emb = aug->embedding;
+    std::vector<char> usesLongHullEdge(emb.faces.size(), 0);
+    for (const auto& [a, b] : longHullEdges) {
+      usesLongHullEdge[static_cast<std::size_t>(emb.faceLeftOf(a, b))] = 1;
+      usesLongHullEdge[static_cast<std::size_t>(emb.faceLeftOf(b, a))] = 1;
+    }
+    for (std::size_t fi = 0; fi < emb.faces.size(); ++fi) {
+      const auto& f = emb.faces[fi];
+      if (f.outer || !usesLongHullEdge[fi] || distinctCount(f.cycle, mark, stamp++) < 3) {
+        continue;
       }
-      if (!usesLongHullEdge) continue;
-      // Skip plain triangles of the original graph (all edges real & short).
       Hole h;
       h.ring = f.cycle;
       h.polygon = ringPolygon(ldel, h.ring);
@@ -88,6 +100,7 @@ HoleAnalysis detectHoles(const graph::GeometricGraph& ldel, double radius) {
       out.holes.push_back(std::move(h));
     }
   }
+  out.augmented = std::move(aug);
 
   for (std::size_t hi = 0; hi < out.holes.size(); ++hi) {
     for (graph::NodeId v : out.holes[hi].ring) {

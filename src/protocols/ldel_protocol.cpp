@@ -6,6 +6,7 @@
 
 #include "geom/angle.hpp"
 #include "geom/predicates.hpp"
+#include "graph/rotation.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/reliable.hpp"
 
@@ -213,6 +214,7 @@ DistributedLdel runLdelConstruction(sim::Simulator& simulator, double radius,
   // whose corners are triangles is a triangle face.)
   out.isBoundary.assign(st.size(), 0);
   out.gaps.assign(st.size(), {});
+  std::vector<graph::CcwKey> ccwScratch;
   for (std::size_t vi = 0; vi < st.size(); ++vi) {
     const int v = static_cast<int>(vi);
     auto nbrs = out.graph.neighbors(v);
@@ -222,10 +224,7 @@ DistributedLdel runLdelConstruction(sim::Simulator& simulator, double radius,
     }
     std::vector<int> sorted(nbrs.begin(), nbrs.end());
     const geom::Vec2 pv = out.graph.position(v);
-    std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
-      return geom::directionAngle(pv, out.graph.position(a)) <
-             geom::directionAngle(pv, out.graph.position(b));
-    });
+    graph::sortCcw(out.graph, v, sorted, ccwScratch);
     if (sorted.size() == 2) {
       // Two neighbors span two wedges with the same (unordered) triple; a
       // triangle can cover at most one of them, so the node is always on

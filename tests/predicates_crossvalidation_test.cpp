@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <random>
 
+#include "geom/expansion.hpp"
 #include "geom/predicates.hpp"
 #include "testkit/rng.hpp"
 
@@ -92,6 +95,50 @@ TEST_P(CrossValidation, GabrielPredicateMatchesIntegerTruth) {
                                        {static_cast<double>(px), static_cast<double>(py)});
     ASSERT_EQ(got, expected);
   }
+}
+
+// The Gabriel predicate in expansion arithmetic only: the unfiltered
+// evaluation the float filter in front of it must agree with.
+bool inDiametralCircleUnfiltered(Vec2 a, Vec2 b, Vec2 d) {
+  const Expansion adx = Expansion::twoDiff(a.x, d.x);
+  const Expansion ady = Expansion::twoDiff(a.y, d.y);
+  const Expansion bdx = Expansion::twoDiff(b.x, d.x);
+  const Expansion bdy = Expansion::twoDiff(b.y, d.y);
+  return (adx * bdx + ady * bdy).sign() < 0;
+}
+
+TEST_P(CrossValidation, GabrielFilterAgreesWithExactOnAndNearTheCircle) {
+  std::mt19937_64 rng(static_cast<unsigned>(GetParam()) * 977 + 11);
+  std::uniform_real_distribution<double> coord(-50.0, 50.0);
+  std::uniform_real_distribution<double> angle(0.0, 6.283185307179586);
+  std::uniform_real_distribution<double> offset(-1e-9, 1e-9);
+  int onCircle = 0;
+  for (int it = 0; it < 2000; ++it) {
+    const Vec2 a{coord(rng), coord(rng)};
+    const Vec2 b{coord(rng), coord(rng)};
+    const Vec2 m{0.5 * (a.x + b.x), 0.5 * (a.y + b.y)};
+    const double r = 0.5 * std::hypot(b.x - a.x, b.y - a.y);
+    const double t = angle(rng);
+    const Vec2 onc{m.x + r * std::cos(t), m.y + r * std::sin(t)};
+    // Random, rounded onto the circle, within 1e-9 of it, and exactly on
+    // it (Thales: b = d + s * perp(a - d) on integer coordinates).
+    const long ix = static_cast<long>(coord(rng)), iy = static_cast<long>(coord(rng));
+    const long jx = static_cast<long>(coord(rng)), jy = static_cast<long>(coord(rng));
+    const long s = 1 + it % 5;
+    const Vec2 ta{static_cast<double>(jx), static_cast<double>(jy)};
+    const Vec2 td{static_cast<double>(ix), static_cast<double>(iy)};
+    const Vec2 tb{static_cast<double>(ix - s * (jy - iy)), static_cast<double>(iy + s * (jx - ix))};
+    const std::array<std::array<Vec2, 3>, 4> cases{{{a, b, {coord(rng), coord(rng)}},
+                                                    {a, b, onc},
+                                                    {a, b, {onc.x + offset(rng), onc.y + offset(rng)}},
+                                                    {ta, tb, td}}};
+    for (const auto& [p, q, d] : cases) {
+      ASSERT_EQ(inDiametralCircle(p, q, d), inDiametralCircleUnfiltered(p, q, d))
+          << "a " << p << " b " << q << " d " << d;
+    }
+    onCircle += inDiametralCircle(ta, tb, td) ? 0 : 1;
+  }
+  EXPECT_EQ(onCircle, 2000);  // exactly on the circle is not strictly inside
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossValidation, ::testing::Range(0, 6));
