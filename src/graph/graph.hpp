@@ -18,6 +18,10 @@ class GeometricGraph {
   GeometricGraph() = default;
   explicit GeometricGraph(std::vector<geom::Vec2> positions)
       : pos_(std::move(positions)), adj_(pos_.size()) {}
+  /// Takes the adjacency lists as they are: they must be symmetric and
+  /// free of duplicates and self-loops (what addEdge() would build).
+  GeometricGraph(std::vector<geom::Vec2> positions, std::vector<std::vector<NodeId>> adjacency)
+      : pos_(std::move(positions)), adj_(std::move(adjacency)) {}
 
   NodeId addNode(geom::Vec2 p) {
     pos_.push_back(p);

@@ -1,81 +1,48 @@
 #include "spatial/grid_index.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <utility>
 
 namespace hybrid::spatial {
 
-namespace {
-std::int64_t packCell(std::int64_t cx, std::int64_t cy) {
-  // Interleave-free packing: 32 bits per axis, biased to stay positive.
-  return ((cx + 0x40000000LL) << 32) | ((cy + 0x40000000LL) & 0xFFFFFFFFLL);
-}
-}  // namespace
-
 GridIndex::GridIndex(const std::vector<geom::Vec2>& points, double cellSize)
-    : points_(points), cell_(cellSize > 0.0 ? cellSize : 1.0) {
-  cells_.reserve(points.size());
-  for (int i = 0; i < static_cast<int>(points.size()); ++i) {
-    cells_[cellKey(points[static_cast<std::size_t>(i)])].push_back(i);
+    : cell_(cellSize > 0.0 ? cellSize : 1.0) {
+  std::vector<std::pair<std::int64_t, int>> byCell(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    byCell[i] = {packCell(cellCoord(points[i].x), cellCoord(points[i].y)), static_cast<int>(i)};
   }
+  std::sort(byCell.begin(), byCell.end());
+  items_.reserve(byCell.size());
+  itemPos_.reserve(byCell.size());
+  for (const auto& [key, i] : byCell) {
+    if (keys_.empty() || keys_.back() != key) {
+      keys_.push_back(key);
+      start_.push_back(static_cast<int>(items_.size()));
+    }
+    items_.push_back(i);
+    itemPos_.push_back(points[static_cast<std::size_t>(i)]);
+  }
+  start_.push_back(static_cast<int>(items_.size()));
 }
 
-std::int64_t GridIndex::cellKey(geom::Vec2 p) const {
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell_));
-  return packCell(cx, cy);
+std::int64_t GridIndex::cellCoord(double v) const {
+  return static_cast<std::int64_t>(std::floor(v / cell_));
+}
+
+std::size_t GridIndex::lowerCell(std::int64_t key, std::size_t from) const {
+  if (from > 0 && keys_[from - 1] >= key) from = 0;
+  // The next cell of a column is usually a step or two away.
+  for (int probe = 0; probe < 4; ++probe, ++from) {
+    if (from == keys_.size() || keys_[from] >= key) return from;
+  }
+  return static_cast<std::size_t>(
+      std::lower_bound(keys_.begin() + static_cast<std::ptrdiff_t>(from), keys_.end(), key) -
+      keys_.begin());
 }
 
 std::vector<int> GridIndex::queryRadius(geom::Vec2 center, double radius) const {
   std::vector<int> out;
-  const double r2 = radius * radius;
-  const auto cx = static_cast<std::int64_t>(std::floor(center.x / cell_));
-  const auto cy = static_cast<std::int64_t>(std::floor(center.y / cell_));
-  const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell_));
-  if (reach == 1) {
-    // Common case (cell size == radius): gather the <= 9 candidate cells
-    // first so the result can be reserved once, then filter by distance.
-    const std::vector<int>* cand[9];
-    std::size_t ncand = 0;
-    std::size_t total = 0;
-    for (std::int64_t dx = -1; dx <= 1; ++dx) {
-      // The x-axis half of the packed key is loop-invariant per column.
-      const std::int64_t colBits = (cx + dx + 0x40000000LL) << 32;
-      for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        const auto it = cells_.find(colBits | ((cy + dy + 0x40000000LL) & 0xFFFFFFFFLL));
-        if (it == cells_.end()) continue;
-        cand[ncand++] = &it->second;
-        total += it->second.size();
-      }
-    }
-    out.reserve(total);
-    for (std::size_t k = 0; k < ncand; ++k) {
-      for (int i : *cand[k]) {
-        if (geom::dist2(points_[static_cast<std::size_t>(i)], center) <= r2) {
-          out.push_back(i);
-        }
-      }
-    }
-    return out;
-  }
-  for (std::int64_t dx = -reach; dx <= reach; ++dx) {
-    const std::int64_t colBits = (cx + dx + 0x40000000LL) << 32;
-    for (std::int64_t dy = -reach; dy <= reach; ++dy) {
-      const auto it = cells_.find(colBits | ((cy + dy + 0x40000000LL) & 0xFFFFFFFFLL));
-      if (it == cells_.end()) continue;
-      out.reserve(out.size() + it->second.size());
-      for (int i : it->second) {
-        if (geom::dist2(points_[static_cast<std::size_t>(i)], center) <= r2) {
-          out.push_back(i);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<int> GridIndex::neighborsOf(int i, double radius) const {
-  auto out = queryRadius(points_[static_cast<std::size_t>(i)], radius);
-  std::erase(out, i);
+  forEachWithin(center, radius, [&](int i) { out.push_back(i); });
   return out;
 }
 
