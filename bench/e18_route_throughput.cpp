@@ -3,8 +3,8 @@
 // Measures the query serving engine end to end against a faithful replica
 // of the pre-PR overlay serving path compiled into this binary: rebuild
 // the query graph (all sites + the two endpoints) per query and run one
-// dijkstra() over it, versus the incremental engine (precomputed site-pair
-// table, endpoint connection only, workspace Dijkstra, zero steady-state
+// dijkstra() over it, versus the incremental engine (precomputed hub
+// labels, endpoint connection only, hub-bucket pair scan, zero steady-state
 // allocations). Also sweeps routeBatch() thread counts on full hybrid
 // route() queries. Every timed run is preceded by an untimed warm-up so
 // both sides are measured in steady state; best-of-3 guards against
@@ -26,6 +26,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -165,6 +166,7 @@ int main(int argc, char** argv) {
   std::printf("  \"workload\": \"overlay: random endpoint pairs on the visibility overlay; "
               "batch: random s-t hybrid route() pairs\",\n");
   std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::printf("  \"cores\": %u,\n", std::thread::hardware_concurrency());
   std::printf("  \"configs\": [\n");
   bool firstCfg = true;
   for (const std::size_t n : sizes) {

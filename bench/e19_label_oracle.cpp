@@ -1,13 +1,14 @@
 // E19 — site-pair oracle: hub labels vs the dense h x h table, as JSON.
 //
-// The dense backend stores all-pairs distances + predecessors (12 bytes per
-// site pair) and answers a query with one array read; it is what capped the
-// overlay at kMaxTableSites. This bench rebuilds that backend faithfully
-// (one Dijkstra per site, parallel, flat dist/pred slabs) and races it
-// against HubLabelOracle on the same CSR site graph: build time, resident
-// bytes and point-to-point distance throughput. Sizes past the dense
-// memory wall (h = 32768 would need ~12 GiB of table) run labels-only —
-// that asymmetry is the point of the experiment.
+// A dense backend stores all-pairs distances + predecessors (12 bytes per
+// site pair) and answers a query with one array read. The overlay serves
+// from hub labels only, so the DenseTable below (one Dijkstra per site,
+// parallel, flat dist/pred slabs) is the repository's only dense site
+// table, kept as the denominator: it is raced against HubLabelOracle on
+// the same CSR site graph for build time, resident bytes and
+// point-to-point distance throughput. Sizes past the dense memory wall
+// (h = 32768 would need ~12 GiB of table) run labels-only — that asymmetry
+// is the point of the experiment.
 //
 // The graph models what the overlay actually hands the oracle: sites on a
 // hull ring (consecutive visibility edges) plus long-range visibility

@@ -42,8 +42,6 @@ int main() {
         {routing::SiteMode::AllHoleNodes, routing::EdgeMode::Visibility, true});
     auto lchDel = net.makeRouter(
         {routing::SiteMode::LocallyConvexHull, routing::EdgeMode::Delaunay, true});
-    auto dpDel = net.makeRouter(
-        {routing::SiteMode::SimplifiedBoundary, routing::EdgeMode::Delaunay, true});
     auto prunedDel = net.makeRouter({routing::SiteMode::HullNodes,
                                      routing::EdgeMode::Delaunay, true, false,
                                      /*prunePaths=*/true});
@@ -62,7 +60,6 @@ int main() {
         {hullVis.get(), "S4 hulls+visgraph"},
         {hullDel.get(), "S4 hulls+delaunay"},
         {lchDel.get(), "S4.1 lch+delaunay"},
-        {dpDel.get(), "ext. dp+delaunay"},
         {prunedDel.get(), "ext. hulls+del+prune"},
     };
     for (const auto& e : entries) {

@@ -1,6 +1,8 @@
 #include "holes/hole_detection.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace hybrid::holes {
 
@@ -84,9 +86,18 @@ HoleAnalysis detectHoles(const graph::GeometricGraph& ldel, double radius) {
     aug->embedding = graph::embedPlanar(ldel, longHullEdges);
     const auto& emb = aug->embedding;
     std::vector<char> usesLongHullEdge(emb.faces.size(), 0);
+    const auto markFaceLeftOf = [&](graph::NodeId u, graph::NodeId v) {
+      const int f = emb.faceLeftOf(u, v);
+      if (f < 0) {
+        throw std::logic_error("detectHoles: long hull edge (" + std::to_string(u) + ", " +
+                               std::to_string(v) + ") is not an edge of the augmented "
+                               "embedding");
+      }
+      usesLongHullEdge[static_cast<std::size_t>(f)] = 1;
+    };
     for (const auto& [a, b] : longHullEdges) {
-      usesLongHullEdge[static_cast<std::size_t>(emb.faceLeftOf(a, b))] = 1;
-      usesLongHullEdge[static_cast<std::size_t>(emb.faceLeftOf(b, a))] = 1;
+      markFaceLeftOf(a, b);
+      markFaceLeftOf(b, a);
     }
     for (std::size_t fi = 0; fi < emb.faces.size(); ++fi) {
       const auto& f = emb.faces[fi];

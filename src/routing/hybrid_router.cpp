@@ -35,7 +35,6 @@ OverlayPlan HybridRouter::planOverlay(
   OverlayPlan plan;
   plan.sites = options.sites;
   plan.edges = options.edges;
-  plan.table = options.table;
   // Resolve the abstraction mode: Auto keeps the paper's convex hulls
   // while they are pairwise disjoint and switches to the bounding-box
   // overlay (which merges boxes to disjointness) when hulls interlock —
@@ -65,17 +64,8 @@ OverlayPlan HybridRouter::planOverlay(
     for (const auto& g : groups) plan.rings.push_back(g.hullNodes);
   } else if (options.sites != SiteMode::AllHoleNodes) {
     for (const auto& a : abstractions) {
-      switch (options.sites) {
-        case SiteMode::LocallyConvexHull:
-          plan.rings.push_back(a.locallyConvexHull);
-          break;
-        case SiteMode::SimplifiedBoundary:
-          plan.rings.push_back(a.simplifiedBoundary);
-          break;
-        default:
-          plan.rings.push_back(a.hullNodes);
-          break;
-      }
+      plan.rings.push_back(options.sites == SiteMode::LocallyConvexHull ? a.locallyConvexHull
+                                                                        : a.hullNodes);
     }
   } else {
     for (const auto& h : analysis.holes) plan.rings.push_back(h.ring);
@@ -112,14 +102,13 @@ HybridRouter::HybridRouter(const graph::GeometricGraph& ldel,
     // the hole, so the backbone is declared ring-walkable.
     overlay_ =
         std::make_shared<const OverlayGraph>(ldel, overlayPlan_.rings, analysis.holePolygons(),
-                                             opt_.edges, opt_.table, /*ringBackbone=*/true);
+                                             opt_.edges, /*ringBackbone=*/true);
   } else if (overlayPlan_.merged) {
     overlay_ = std::make_shared<const OverlayGraph>(ldel, overlayPlan_.rings,
-                                                    analysis.holePolygons(), opt_.edges,
-                                                    opt_.table);
+                                                    analysis.holePolygons(), opt_.edges);
   } else {
     overlay_ = std::make_shared<const OverlayGraph>(ldel, analysis, abstractions, opt_.sites,
-                                                    opt_.edges, opt_.table);
+                                                    opt_.edges);
   }
 
   isHullNode_.assign(g_.numNodes(), 0);
@@ -134,11 +123,8 @@ HybridRouter::HybridRouter(const graph::GeometricGraph& ldel,
     if (usesBBox_) continue;
     // Mark the abstraction nodes that double as overlay sites; the hole
     // node that intercepts a message walks the ring to the nearest one.
-    const auto& siteRing = opt_.sites == SiteMode::LocallyConvexHull
-                               ? a.locallyConvexHull
-                               : (opt_.sites == SiteMode::SimplifiedBoundary
-                                      ? a.simplifiedBoundary
-                                      : a.hullNodes);
+    const auto& siteRing =
+        opt_.sites == SiteMode::LocallyConvexHull ? a.locallyConvexHull : a.hullNodes;
     for (graph::NodeId v : siteRing) isHullNode_[static_cast<std::size_t>(v)] = 1;
     for (const auto& bay : a.bays) {
       bayDS_.push_back(abstraction::pathDominatingSet(bay.chain));
@@ -160,7 +146,6 @@ std::string HybridRouter::name() const {
   std::string n = "boundary";
   if (opt_.sites == SiteMode::HullNodes) n = "hull";
   if (opt_.sites == SiteMode::LocallyConvexHull) n = "lch";
-  if (opt_.sites == SiteMode::SimplifiedBoundary) n = "dp";
   n += opt_.edges == EdgeMode::Delaunay ? "-delaunay" : "-visibility";
   if (usesBBox_) {
     n += "+bbox";
@@ -214,10 +199,9 @@ bool HybridRouter::chewOrFallback(std::vector<graph::NodeId>& path, graph::NodeI
   if (sp.empty()) return false;
   path.insert(path.end(), sp.begin() + 1, sp.end());
   ++(*fallbacks);
-  // Abstraction fallbacks (hull intersections, blocked Chew legs) are a
-  // different failure class than dense-table capacity refusals
-  // (overlay.table.fallbacks); count them separately so experiments can
-  // attribute protocol coverage correctly.
+  // Abstraction fallbacks (hull intersections, blocked Chew legs) mark
+  // where the protocol itself did not deliver; counted so experiments can
+  // attribute protocol coverage.
   HYBRID_OBS_STMT(if (obs::enabled()) {
     obs::Registry::global().counter("overlay.abstraction.fallbacks").add(1);
   });
@@ -336,7 +320,7 @@ bool HybridRouter::ringWalkBetween(std::vector<graph::NodeId>& path,
 bool HybridRouter::routeViaOverlay(std::vector<graph::NodeId>& path, graph::NodeId target,
                                    int* fallbacks) const {
   // Combined query through per-thread scratch: one solve for waypoints and
-  // distance, no allocation in the incremental (visibility-table) mode.
+  // distance, no allocation in the incremental (visibility-label) mode.
   // The waypoint loop below must not re-enter the overlay (chewOrFallback
   // only runs Chew legs / A*), or the scratch would be clobbered mid-walk.
   thread_local OverlayQueryWorkspace overlayWs;

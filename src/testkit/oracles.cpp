@@ -229,7 +229,6 @@ OracleResult checkOverlayParity(const CaseContext& ctx) {
   for (const routing::EdgeMode em :
        {routing::EdgeMode::Visibility, routing::EdgeMode::Delaunay}) {
     routing::HybridOptions opts{routing::SiteMode::HullNodes, em, true};
-    opts.table = ctx.tableMode();
     opts.abstraction = ctx.abstractionMode();
     const auto router = net.makeRouter(opts);
     const routing::OverlayGraph& overlay = router->overlay();
@@ -349,7 +348,6 @@ OracleResult checkCompetitiveBound(const CaseContext& ctx) {
   };
   for (const auto& [mode, bound, label] : routers) {
     routing::HybridOptions opts{routing::SiteMode::AllHoleNodes, mode, true};
-    opts.table = ctx.tableMode();
     const auto router = net.makeRouter(opts);
     for (std::size_t i = 0; i < ctx.pairs().size(); ++i) {
       const auto [s, t] = ctx.pairs()[i];
@@ -614,15 +612,10 @@ OracleResult checkSimDeliveryParity(const CaseContext& ctx) {
 
 OracleResult checkLabelParity(const CaseContext& ctx) {
   const auto& net = ctx.net();
-  routing::HybridOptions lopts{routing::SiteMode::HullNodes, routing::EdgeMode::Visibility,
-                               true};
-  lopts.table = routing::TableMode::HubLabels;
-  const auto labelRouter = net.makeRouter(lopts);
+  const auto labelRouter = net.makeRouter(
+      {routing::SiteMode::HullNodes, routing::EdgeMode::Visibility, true});
   const routing::OverlayGraph& lov = labelRouter->overlay();
   if (lov.sites().empty()) return skipResult();  // hole-free: no labels to check
-  if (!lov.usesHubLabels()) {
-    return failResult("hub-label backend requested but not engaged");
-  }
   const routing::HubLabelOracle& integrated = lov.hubLabels();
   const graph::CsrAdjacency csr =
       graph::buildCsr(lov.siteAdjacency(), lov.sitePositions());
@@ -700,12 +693,7 @@ OracleResult checkLabelParity(const CaseContext& ctx) {
     }
   }
 
-  // End-to-end query parity against the dense backend.
-  routing::HybridOptions dopts{routing::SiteMode::HullNodes, routing::EdgeMode::Visibility,
-                               true};
-  dopts.table = routing::TableMode::Dense;
-  const auto denseRouter = net.makeRouter(dopts);
-  const routing::OverlayGraph& dov = denseRouter->overlay();
+  // End-to-end query parity against the rebuilt query graph's Dijkstra.
   const auto bbox = geom::BBox::of(net.ldel().positions());
   std::uniform_real_distribution<double> dx(bbox.lo.x, bbox.hi.x);
   std::uniform_real_distribution<double> dy(bbox.lo.y, bbox.hi.y);
@@ -716,18 +704,18 @@ OracleResult checkLabelParity(const CaseContext& ctx) {
       a = lov.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
       b = lov.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
     }
-    const routing::OverlayRoute ref = dov.waypointsWithDistance(a, b);
+    const routing::OverlayRoute ref = referenceOverlayQuery(lov, a, b);
     const routing::OverlayRoute fresh = lov.waypointsWithDistance(a, b);
     std::ostringstream at;
     at << "query " << q << " (" << a.x << "," << a.y << ")->(" << b.x << "," << b.y << ")";
     if (fresh.reachable != ref.reachable) {
-      return failResult("label/dense reachability mismatch at " + at.str());
+      return failResult("label/reference reachability mismatch at " + at.str());
     }
     if (!fresh.reachable) continue;
     if (!closeEnough(fresh.distance, ref.distance, kDistEps)) {
       std::ostringstream os;
-      os << "label/dense distance mismatch at " << at.str() << ": labels="
-         << fresh.distance << " dense=" << ref.distance;
+      os << "label/reference distance mismatch at " << at.str() << ": labels="
+         << fresh.distance << " reference=" << ref.distance;
       return failResult(os.str());
     }
     if (fresh.waypoints != ref.waypoints) {
@@ -937,7 +925,6 @@ OracleResult checkBBoxParity(const CaseContext& ctx) {
        {routing::EdgeMode::Visibility, routing::EdgeMode::Delaunay}) {
     const char* label = em == routing::EdgeMode::Visibility ? "visibility" : "delaunay";
     routing::HybridOptions opts{routing::SiteMode::HullNodes, em, true};
-    opts.table = ctx.tableMode();
     opts.abstraction = routing::AbstractionMode::BBox;
     const auto router = net.makeRouter(opts);
     if (!router->usesBBox()) {
@@ -1027,7 +1014,6 @@ OracleResult checkChurnServing(const CaseContext& ctx) {
   }
 
   serve::ServiceOptions opts;
-  opts.router.table = ctx.tableMode();
   opts.router.abstraction = ctx.abstractionMode();
   opts.updateFaults.seed = deriveSeed(ctx.seed(), 0x63687266 /* "chrf" */);
   opts.updateFaults.adHocDrop = 0.1;
@@ -1144,13 +1130,11 @@ std::optional<RouterKind> parseRouterKind(std::string_view name) {
 }
 
 CaseContext::CaseContext(scenario::Scenario sc, std::uint64_t seed, int threads,
-                         InjectedBug bug, routing::TableMode table, RouterKind router,
-                         routing::AbstractionMode abstraction)
+                         InjectedBug bug, RouterKind router, routing::AbstractionMode abstraction)
     : sc_(std::move(sc)),
       seed_(seed),
       threads_(threads < 1 ? 1 : threads),
       bug_(bug),
-      table_(table),
       router_(router),
       abstraction_(abstraction),
       net_(sc_.points, sc_.radius) {
@@ -1246,13 +1230,7 @@ routing::OverlayRoute referenceOverlayQuery(const routing::OverlayGraph& overlay
         g.addEdge(u, v);
       }
     }
-    for (const auto& [u, v] : overlay.backboneEdges()) {
-      if (overlay.backboneFiltered() &&
-          !vis.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-        continue;
-      }
-      g.addEdge(u, v);
-    }
+    for (const auto& [u, v] : overlay.backboneEdges()) g.addEdge(u, v);
   }
 
   const auto tree = graph::dijkstra(g, fromIdx, toIdx);

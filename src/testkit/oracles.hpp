@@ -61,14 +61,11 @@ class CaseContext {
   /// `seed` drives the query pairs (deterministically); `threads` is what
   /// routeBatch/simulator parallel paths run at (their results must be
   /// thread-count-invariant — that invariance is itself under test).
-  /// `table` selects the site-pair backend the router-building oracles
-  /// exercise, so the whole registry can run against hub labels; `router`
-  /// selects the serving engine of the batch-serving oracles;
+  /// `router` selects the serving engine of the batch-serving oracles;
   /// `abstraction` selects the per-hole abstraction those oracles build
   /// routers with (bbox_parity always forces BBox regardless).
   CaseContext(scenario::Scenario sc, std::uint64_t seed, int threads = 2,
               InjectedBug bug = InjectedBug::None,
-              routing::TableMode table = routing::TableMode::Auto,
               RouterKind router = RouterKind::Centralized,
               routing::AbstractionMode abstraction = routing::AbstractionMode::Hulls);
   CaseContext(const CaseContext&) = delete;
@@ -80,7 +77,6 @@ class CaseContext {
   std::uint64_t seed() const { return seed_; }
   int threads() const { return threads_; }
   InjectedBug bug() const { return bug_; }
-  routing::TableMode tableMode() const { return table_; }
   RouterKind routerKind() const { return router_; }
   routing::AbstractionMode abstractionMode() const { return abstraction_; }
 
@@ -89,7 +85,6 @@ class CaseContext {
   std::uint64_t seed_;
   int threads_;
   InjectedBug bug_;
-  routing::TableMode table_;
   RouterKind router_ = RouterKind::Centralized;
   routing::AbstractionMode abstraction_ = routing::AbstractionMode::Hulls;
   core::HybridNetwork net_;

@@ -180,6 +180,13 @@ void expectParity(const GeometricGraph& ldel, double radius, const std::string& 
   std::set<std::pair<NodeId, NodeId>> synthetic;
   for (auto [a, b] : got.augmented->longHullEdges) synthetic.insert({std::min(a, b), std::max(a, b)});
   EXPECT_EQ(synthetic, ref.synthetic) << what;
+  // Each long hull edge is an edge of the augmented embedding: a face on
+  // both sides, which hole detection relies on when it marks them.
+  const auto& augEmb = got.augmented->embedding;
+  for (const auto& [a, b] : got.augmented->longHullEdges) {
+    EXPECT_GE(augEmb.faceLeftOf(a, b), 0) << what << " (" << a << ", " << b << ")";
+    EXPECT_GE(augEmb.faceLeftOf(b, a), 0) << what << " (" << b << ", " << a << ")";
+  }
 
   // faceLeftOf against the reference face-of-edge map, on every ordered
   // node pair: the map's face for edges, -1 for non-edges.

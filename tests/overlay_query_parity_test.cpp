@@ -8,6 +8,8 @@
 #include "core/hybrid_network.hpp"
 #include "delaunay/triangulation.hpp"
 #include "geom/bbox.hpp"
+#include "graph/csr.hpp"
+#include "graph/dijkstra_workspace.hpp"
 #include "graph/shortest_path.hpp"
 #include "obs/metrics.hpp"
 #include "routing/overlay_graph.hpp"
@@ -80,13 +82,7 @@ LegacyAnswer legacyQuery(const OverlayGraph& overlay, geom::Vec2 from, geom::Vec
         g.addEdge(u, v);
       }
     }
-    for (const auto& [u, v] : overlay.backboneEdges()) {
-      if (overlay.backboneFiltered() &&
-          !vis.visible(pts[static_cast<std::size_t>(u)], pts[static_cast<std::size_t>(v)])) {
-        continue;
-      }
-      g.addEdge(u, v);
-    }
+    for (const auto& [u, v] : overlay.backboneEdges()) g.addEdge(u, v);
   }
 
   const auto tree = graph::dijkstra(g, fromIdx, toIdx);
@@ -171,7 +167,7 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
           geom::Vec2 a{d(rng), d(rng)};
           geom::Vec2 b{d(rng), d(rng)};
           // Mix in site-coincident endpoints: they exercise the cost-0
-          // entry and the pure table-lookup branches.
+          // entry and the pure label-lookup branches.
           if (q % 4 == 1) a = overlay.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
           if (q % 4 == 2) b = overlay.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
           if (q % 12 == 3) b = a;
@@ -196,7 +192,7 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
               << "seed=" << pc.seed << " q=" << q;
           if (fresh.waypoints != legacy.waypoints) {
             // Equal-length shortest paths may tie-break differently (the
-            // table groups FP additions differently than one sequential
+            // labels group FP additions differently than one sequential
             // Dijkstra); both must still realize the optimal distance.
             EXPECT_NEAR(polylineLength(net, a, b, fresh.waypoints), legacy.distance, 1e-6)
                 << "seed=" << pc.seed << " q=" << q;
@@ -220,11 +216,12 @@ TEST(OverlayParity, IncrementalEngineMatchesLegacyRebuild) {
   obs::setEnabled(obsWas);
 }
 
-/// The hub-label backend against the dense table: every precomputed site
-/// pair plus end-to-end queries, across the full parity-case matrix. Ties
-/// may pick different hubs than the dense argmin scan, so waypoint lists
-/// are compared by realized length.
-TEST(OverlayParity, HubLabelBackendMatchesDense) {
+/// The hub-label backend against ground truth: every site pair against a
+/// per-source Dijkstra over the site CSR, plus end-to-end queries against
+/// the rebuilt query graph, across the full parity-case matrix. Ties may
+/// pick different hubs than the reference Dijkstra, so waypoint lists are
+/// compared by realized length.
+TEST(OverlayParity, HubLabelBackendMatchesDijkstra) {
   int checked = 0;
   for (const auto& pc : parityCases()) {
     scenario::ScenarioParams p;
@@ -234,23 +231,19 @@ TEST(OverlayParity, HubLabelBackendMatchesDense) {
     const auto sc = scenario::makeScenario(p);
     const core::HybridNetwork net(sc.points);
     for (const SiteMode sm : {SiteMode::HullNodes, SiteMode::AllHoleNodes}) {
-      HybridOptions denseOpts{sm, EdgeMode::Visibility, true};
-      denseOpts.table = TableMode::Dense;
-      HybridOptions labelOpts{sm, EdgeMode::Visibility, true};
-      labelOpts.table = TableMode::HubLabels;
-      const auto denseRouter = net.makeRouter(denseOpts);
-      const auto labelRouter = net.makeRouter(labelOpts);
-      const OverlayGraph& dense = denseRouter->overlay();
-      const OverlayGraph& labels = labelRouter->overlay();
-      ASSERT_FALSE(dense.usesHubLabels());
-      ASSERT_TRUE(labels.usesHubLabels());
+      const auto router = net.makeRouter({sm, EdgeMode::Visibility, true});
+      const OverlayGraph& labels = router->overlay();
       ASSERT_TRUE(labels.servesIncrementally());
 
-      const int h = static_cast<int>(dense.sites().size());
+      const int h = static_cast<int>(labels.sites().size());
       ASSERT_GT(h, 0) << "seed=" << pc.seed;
+      const graph::CsrAdjacency csr =
+          graph::buildCsr(labels.siteAdjacency(), labels.sitePositions());
+      graph::DijkstraWorkspace dijkstra;
       for (int i = 0; i < h; ++i) {
+        dijkstra.run(csr, i);
         for (int j = 0; j < h; ++j) {
-          const double d = dense.sitePairDistance(i, j);
+          const double d = dijkstra.dist(j);
           const double l = labels.sitePairDistance(i, j);
           if (std::isinf(d)) {
             EXPECT_TRUE(std::isinf(l)) << "seed=" << pc.seed << " pair " << i << "," << j;
@@ -267,12 +260,12 @@ TEST(OverlayParity, HubLabelBackendMatchesDense) {
       for (int q = 0; q < 12; ++q) {
         geom::Vec2 a{d(rng), d(rng)};
         geom::Vec2 b{d(rng), d(rng)};
-        if (q % 4 == 1) a = dense.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
+        if (q % 4 == 1) a = labels.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
         if (q % 4 == 2) {
-          a = dense.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
-          b = dense.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
+          a = labels.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
+          b = labels.sitePositions()[static_cast<std::size_t>(pickSite(rng))];
         }
-        const auto ref = dense.waypointsWithDistance(a, b);
+        const auto ref = testkit::referenceOverlayQuery(labels, a, b);
         const auto fresh = labels.waypointsWithDistance(a, b);
         ++checked;
         ASSERT_EQ(fresh.reachable, ref.reachable) << "seed=" << pc.seed << " q=" << q;
@@ -297,19 +290,17 @@ TEST(OverlayParity, HubLabelBackendMatchesDense) {
 #define HYBRID_PARITY_SANITIZED 1
 #endif
 
-/// The old serving engine refused overlays above kMaxTableSites (4096) and
-/// silently fell back to a per-query rebuild. With hub labels the ceiling
-/// is gone: a ring of sites above the cap serves incrementally and matches
-/// the rebuild ground truth. Release builds cross the historical 4096
-/// boundary for real; Debug/sanitizer builds lower the caps instead so the
-/// same code path runs within their runtime budget.
+/// A dense h x h site table stops paying off in the thousands of sites
+/// (an earlier backend refused overlays above 4096 sites and fell back to
+/// a per-query rebuild). Hub labels have no such ceiling: a ring of sites
+/// above that size serves incrementally and matches the rebuild ground
+/// truth. Release builds run 4288 sites; Debug/sanitizer builds run 576 so
+/// the same code path fits their runtime budget.
 TEST(OverlayParity, SitesAboveDenseCapServeIncrementallyViaLabels) {
 #if defined(NDEBUG) && !defined(HYBRID_PARITY_SANITIZED)
-  const int n = 4288;  // genuinely above the historical dense ceiling
-  const auto prevLimits = OverlayGraph::setTableLimitsForTest(0, 0);
+  const int n = 4288;
 #else
   const int n = 576;
-  const auto prevLimits = OverlayGraph::setTableLimitsForTest(512, 256);
 #endif
   // Sites on a circle around a square obstacle whose corners nearly touch
   // it: visibility windows stay local, so construction and queries remain
@@ -325,12 +316,11 @@ TEST(OverlayParity, SitesAboveDenseCapServeIncrementallyViaLabels) {
   for (int i = 0; i < n; ++i) ring[static_cast<std::size_t>(i)] = i;
   const double r = 4.0 * 0.9995;
   std::vector<geom::Polygon> obstacles = {geom::Polygon({{r, 0}, {0, r}, {-r, 0}, {0, -r}})};
-  const OverlayGraph overlay(ldel, {ring}, obstacles, EdgeMode::Visibility, TableMode::Auto);
+  const OverlayGraph overlay(ldel, {ring}, obstacles, EdgeMode::Visibility);
 
   ASSERT_EQ(overlay.sites().size(), static_cast<std::size_t>(n));
   EXPECT_TRUE(overlay.servesIncrementally());
-  EXPECT_TRUE(overlay.usesHubLabels());
-  // The label slab must undercut the dense footprint it replaced
+  // The label slab must undercut a dense table's footprint
   // (h^2 doubles + h^2 int32 predecessors).
   EXPECT_LT(overlay.hubLabels().labelBytes(),
             static_cast<std::size_t>(n) * static_cast<std::size_t>(n) * 12 / 4);
@@ -351,7 +341,6 @@ TEST(OverlayParity, SitesAboveDenseCapServeIncrementallyViaLabels) {
     if (!fresh.reachable) continue;
     EXPECT_NEAR(fresh.distance, ref.distance, 1e-6) << "q=" << q;
   }
-  OverlayGraph::setTableLimitsForTest(prevLimits.first, prevLimits.second);
 }
 
 /// Regression for the grazing-segment class: queries whose endpoint-site

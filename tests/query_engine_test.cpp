@@ -230,21 +230,19 @@ TEST(QueryEngine, DelaunayWorkspaceQueriesAreAllocationFree) {
 }
 
 TEST(QueryEngine, HubLabelWorkspaceQueriesAreAllocationFree) {
-  // Same contract as the dense-table test above, but with the hub-bucket
-  // scan: the generation-stamped bucket arrays must reach steady state
-  // after warm-up instead of reallocating per query.
+  // Same contract as the hull-site test above, over every hole boundary
+  // node: more sites and longer labels, so the generation-stamped bucket
+  // arrays and the seed-bound merge scratch grow further before they must
+  // reach steady state.
   scenario::ScenarioParams p;
   p.width = p.height = 14.0;
   p.seed = 77;
   p.obstacles.push_back(scenario::rectangleObstacle({5.0, 5.0}, {9.0, 9.0}));
   const auto sc = scenario::makeScenario(p);
   const core::HybridNetwork net(sc.points);
-  HybridOptions opts{SiteMode::HullNodes, EdgeMode::Visibility, true};
-  opts.table = TableMode::HubLabels;
-  const auto router = net.makeRouter(opts);
+  const auto router = net.makeRouter({SiteMode::AllHoleNodes, EdgeMode::Visibility, true});
   const OverlayGraph& overlay = router->overlay();
   ASSERT_TRUE(overlay.servesIncrementally());
-  ASSERT_TRUE(overlay.usesHubLabels());
 
   OverlayQueryWorkspace ws;
   OverlayRoute out;

@@ -83,13 +83,11 @@ TEST_F(RouteBatchFixture, VisibilityOverlayRouterBatchMatchesSerial) {
 }
 
 TEST_F(RouteBatchFixture, HubLabelOverlayRouterBatchMatchesSerial) {
-  // Same contract as the visibility-overlay batch test, but with the
-  // site-pair table served from hub labels: the workspace-per-thread
-  // query path must stay deterministic across thread counts.
-  HybridOptions opts{SiteMode::HullNodes, EdgeMode::Visibility, true};
-  opts.table = TableMode::HubLabels;
-  const auto router = net_->makeRouter(opts);
-  ASSERT_TRUE(router->overlay().usesHubLabels());
+  // Same contract as the visibility-overlay batch test, over every hole
+  // boundary node: the larger label slab's workspace-per-thread query
+  // path must stay deterministic across thread counts.
+  const auto router = net_->makeRouter({SiteMode::AllHoleNodes, EdgeMode::Visibility, true});
+  ASSERT_TRUE(router->overlay().servesIncrementally());
   const auto pairs = randomPairs(net_->ldel().numNodes(), 27, 32);
 
   std::vector<RouteResult> serial;
@@ -100,17 +98,6 @@ TEST_F(RouteBatchFixture, HubLabelOverlayRouterBatchMatchesSerial) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_TRUE(sameResult(batch[i], serial[i])) << "threads=" << threads << " pair=" << i;
     }
-  }
-
-  // And the label backend agrees with the dense backend route for route.
-  HybridOptions denseOpts{SiteMode::HullNodes, EdgeMode::Visibility, true};
-  denseOpts.table = TableMode::Dense;
-  const auto denseRouter = net_->makeRouter(denseOpts);
-  for (const auto& p : pairs) {
-    const auto a = router->route(p.source, p.target);
-    const auto b = denseRouter->route(p.source, p.target);
-    EXPECT_EQ(a.delivered, b.delivered) << p.source << " -> " << p.target;
-    EXPECT_EQ(a.protocolCase, b.protocolCase) << p.source << " -> " << p.target;
   }
 }
 
